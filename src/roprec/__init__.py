@@ -27,7 +27,6 @@ from .measure import (
     check_feasible,
 )
 from .solvers import (
-    ConstraintSpec,
     SolverConfig,
     RecoveryReport,
     schatten_p_minimize,
@@ -68,7 +67,6 @@ __all__ = [
     "explicit_operator",
     "generate_noise",
     "check_feasible",
-    "ConstraintSpec",
     "SolverConfig",
     "RecoveryReport",
     "schatten_p_minimize",

@@ -3,7 +3,8 @@
 Subcommands: sample, measure, recover, certify, phase-transition,
 bound-check, lad-robustness, phaselift-demo.  Experiment subcommands read
 a key=value config file with flag overrides and emit CSV; exit code is 0
-on a completed run and nonzero only on config/parse errors.
+on a completed run and 2, with a one-line message, on config, parse or
+file errors.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import certify, fileio, harness, measure, solvers
 from .measure import NoiseSpec
-from .solvers import ConstraintSpec, SolverConfig
+from .solvers import SolverConfig
 
 
 def _noise_spec(args) -> NoiseSpec:
@@ -38,8 +39,8 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-_CONSTRAINTS = {"eq": "equality", "lq": "lq_ball", "ds": "dantzig_ball",
-                "both": "intersection", "sphere": "schatten_sphere"}
+# --constraint names of the noise-set kinds.
+_CONSTRAINTS = {"eq": "none", "lq": "lq_bounded", "ds": "dantzig", "both": "intersection"}
 
 
 def _cmd_recover(args) -> int:
@@ -52,13 +53,12 @@ def _cmd_recover(args) -> int:
     elif args.method == "least-q":
         report = solvers.least_q_minimize(ens, b, cfg)
     else:
-        kind = _CONSTRAINTS[args.constraint]
-        constraint = ConstraintSpec(kind=kind, q=args.q if kind in ("lq_ball", "intersection") else None,
-                                    eta1=args.eta1, eta2=args.eta2)
+        noise = NoiseSpec(kind=_CONSTRAINTS[args.constraint], q=args.q,
+                          eta1=args.eta1, eta2=args.eta2)
         if args.method == "nuclear":
-            report = solvers.nuclear_norm_baseline(ens, b, constraint, cfg)
+            report = solvers.nuclear_norm_baseline(ens, b, noise, cfg)
         else:
-            report = solvers.schatten_p_minimize(ens, b, constraint, cfg)
+            report = solvers.schatten_p_minimize(ens, b, noise, cfg)
     payload = {
         "method": report.method,
         "objective": report.final_objective,
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.ParseError, ValueError) as exc:
+    except (fileio.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

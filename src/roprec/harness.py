@@ -16,7 +16,7 @@ import numpy as np
 from . import certify, fileio, measure, solvers
 from .linalg import schatten_norm
 from .measure import NoiseSpec, apply_map, explicit_operator, sample_gaussian_rop
-from .solvers import ConstraintSpec, SolverConfig
+from .solvers import SolverConfig
 
 _STREAM_TRUTH = 11
 _STREAM_CORRUPT = 13
@@ -102,19 +102,10 @@ def _solver_cfg(cfg: ExperimentConfig, seed: int) -> SolverConfig:
 
 def _recover(cfg: ExperimentConfig, ens, b, seed: int):
     scfg = _solver_cfg(cfg, seed)
-    if cfg.noise.kind == "none":
-        constraint = ConstraintSpec(kind="equality")
-    elif cfg.noise.kind == "lq_bounded":
-        constraint = ConstraintSpec(kind="lq_ball", q=cfg.noise.q, eta1=cfg.noise.eta1)
-    elif cfg.noise.kind == "dantzig":
-        constraint = ConstraintSpec(kind="dantzig_ball", eta2=cfg.noise.eta2)
-    else:
-        constraint = ConstraintSpec(kind="intersection", q=cfg.noise.q,
-                                    eta1=cfg.noise.eta1, eta2=cfg.noise.eta2)
     if cfg.method == "nuclear":
-        return solvers.nuclear_norm_baseline(ens, b, constraint, scfg)
+        return solvers.nuclear_norm_baseline(ens, b, cfg.noise, scfg)
     if cfg.method == "schatten-p":
-        return solvers.schatten_p_minimize(ens, b, constraint, scfg)
+        return solvers.schatten_p_minimize(ens, b, cfg.noise, scfg)
     if cfg.method == "least-q":
         return solvers.least_q_minimize(ens, b, scfg)
     if cfg.method == "phaselift":
@@ -195,8 +186,7 @@ def run_bound_check(cfg: ExperimentConfig):
             z = measure.generate_noise(noise_spec, ens, seed)
             b = apply_map(ens, X0) + z
             scfg = _solver_cfg(cfg, seed)
-            constraint = ConstraintSpec(kind="lq_ball", q=cfg.q, eta1=float(eta1))
-            report = solvers.schatten_p_minimize(ens, b, constraint, scfg)
+            report = solvers.schatten_p_minimize(ens, b, noise_spec, scfg)
             observed = float(np.linalg.norm(report.estimate - X0) ** cfg.q)
             if certified:
                 bound = certify.stability_bound_schatten(

@@ -6,13 +6,19 @@ module owns the algorithmic choices:
 * equality-constrained Schatten-p minimization: matrix IRLS with weight
   (X X^T + eps I)^{p/2-1} and geometric smoothing decay, the weighted
   least-squares subproblem solved through the measurement Gram matrix;
-* noisy constraint sets (lq ball / Dantzig ball / intersection): ADMM on
-  the explicit vectorized operator, with the Schatten-p proximal applied
-  singular-value-wise and the constraint handled by projection, plus a
-  final minimum-norm correction so the returned iterate is feasible;
+* noisy constraint sets (the lq-bounded / Dantzig / intersection kinds
+  of ``measure.NoiseSpec``, the same set the noise is drawn onto): ADMM
+  with the Schatten-p proximal applied singular-value-wise and each
+  constraint a residual block handled by projection, plus a final
+  minimum-norm correction so the returned iterate is feasible;
 * least-q on the Schatten-p sphere: smoothed gradient descent with
   backtracking and a radial retraction after every step;
-* PhaseLift LAD: ADMM over the spectahedron with an l1 residual prox.
+* PhaseLift LAD: the same ADMM, with the spectahedron projection as the
+  Z step and an l1 soft threshold as its one residual block.
+
+Both ADMM programs run one loop, ``_admm``, on the explicit vectorized
+operator: an x-update through a single Cholesky factor, then one
+proximal step for Z and one per residual block (Boyd et al. 2011).
 
 Nonconvexity is handled by seeded restarts; reports keep every
 per-restart objective trace and distinguish "converged" from any claim
@@ -31,40 +37,6 @@ from .linalg import schatten_norm, simplex_project, spectahedron_project, svd
 from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_operator, op_shape
 
 _STREAM_SOLVER = 7
-
-
-@dataclasses.dataclass(frozen=True)
-class ConstraintSpec:
-    """Feasible set for the measurement residual (or the decision variable)."""
-
-    kind: str  # equality | lq_ball | dantzig_ball | intersection | schatten_sphere | spectahedron
-    q: float | None = None
-    eta1: float | None = None
-    eta2: float | None = None
-    p: float | None = None
-
-    def __post_init__(self):
-        kinds = ("equality", "lq_ball", "dantzig_ball", "intersection",
-                 "schatten_sphere", "spectahedron")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind in ("lq_ball", "intersection"):
-            if self.q is None or not (0 < self.q <= 1):
-                raise ValueError("lq ball requires q in (0, 1]")
-            if self.eta1 is None or self.eta1 < 0:
-                raise ValueError("lq ball requires eta1 >= 0")
-        if self.kind in ("dantzig_ball", "intersection"):
-            if self.eta2 is None or self.eta2 < 0:
-                raise ValueError("Dantzig ball requires eta2 >= 0")
-        if self.kind == "schatten_sphere":
-            if self.p is None or not (0 < self.p <= 1):
-                raise ValueError("Schatten sphere requires p in (0, 1]")
-
-    def to_noise_spec(self) -> NoiseSpec:
-        mapping = {"equality": "none", "lq_ball": "lq_bounded",
-                   "dantzig_ball": "dantzig", "intersection": "intersection"}
-        return NoiseSpec(kind=mapping[self.kind], q=self.q,
-                         eta1=self.eta1, eta2=self.eta2)
 
 
 @dataclasses.dataclass
@@ -293,103 +265,101 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
 
 
 # ---------------------------------------------------------------------------
-# Noisy constraint sets: ADMM on the explicit operator.
+# ADMM on the explicit vectorized operator.
 
 
-def _admm_noisy(op, b, constraint: ConstraintSpec, cfg: SolverConfig, X0=None):
-    L, m, n = op_shape(op)
-    M = explicit_operator(op)
-    dim = m * n
-    rho = cfg.admm_rho
-    use_res = constraint.kind in ("lq_ball", "intersection")
-    use_ds = constraint.kind in ("dantzig_ball", "intersection")
+def _admm(X0, prox_z, blocks, objective, cfg: SolverConfig):
+    """Scaled-form ADMM splitting the variable x into Z and residual blocks.
 
-    G = M.T @ M if use_ds else None
-    g = M.T @ b if use_ds else None
-    H = np.eye(dim)
-    HMt = None
-    if use_res:
-        H += M.T @ M
-    if use_ds:
-        H += G @ G
+    ``prox_z`` maps the matrix x + u to the next Z.  Each block
+    (K, Kt, c, prox) enforces c - K x in a set (or penalizes it): ``prox``
+    maps c - K x + v to the block variable w, and Kt is the adjoint of K,
+    passed in so that a symmetric K multiplies as itself.  The x-update
+    solves (I + sum Kt K) x = (Z - u) + sum Kt (c - w + v) with one
+    Cholesky factor.  Returns (Z, objective trace, iterations, converged).
+    """
+    x = X0.ravel()
+    H = np.eye(x.size)
+    for K, Kt, _, _ in blocks:
+        H += Kt @ K
     chol = scipy.linalg.cho_factor(H, check_finite=False)
 
-    x = (np.asarray(X0, dtype=float).ravel() if X0 is not None
-         else np.linalg.lstsq(M, b, rcond=None)[0])
-    Z = x.reshape(m, n)
-    u = np.zeros(dim)
-    w = b - M @ x if use_res else None
-    vw = np.zeros(L) if use_res else None
-    y = (g - G @ x).reshape(m, n) if use_ds else None
-    vy = np.zeros(dim) if use_ds else None
-
-    radius = L * constraint.eta1 if use_res else None
+    Z = X0
+    u = np.zeros(x.size)
+    ws = [c - K @ x for K, _, c, _ in blocks]
+    vs = [np.zeros(c.size) for _, _, c, _ in blocks]
     trace = []
     iters = 0
     converged = False
     for it in range(cfg.max_iterations):
         iters = it + 1
         rhs = Z.ravel() - u
-        if use_res:
-            rhs = rhs + M.T @ (b - w + vw)
-        if use_ds:
-            rhs = rhs + G @ (g - y.ravel() + vy)
+        for (_, Kt, c, _), w, v in zip(blocks, ws, vs):
+            rhs = rhs + Kt @ (c - w + v)
         x = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
         Z_prev = Z
-        Z = prox_schatten_p((x + u).reshape(m, n), 1.0 / rho, cfg.p)
-        if use_res:
-            w = project_lq_ball(b - M @ x + vw, radius, constraint.q)
-        if use_ds:
-            y = project_spectral_ball((g - G @ x + vy).reshape(m, n), constraint.eta2)
+        Z = prox_z((x + u).reshape(X0.shape))
+        for k, (K, _, c, prox) in enumerate(blocks):
+            Kx = K @ x
+            ws[k] = prox(c - Kx + vs[k])
+            vs[k] += c - Kx - ws[k]
         u += x - Z.ravel()
-        if use_res:
-            vw += b - M @ x - w
-        if use_ds:
-            vy += g - G @ x - y.ravel()
-        trace.append(schatten_norm(Z, cfg.p) ** cfg.p)
+        trace.append(objective(Z))
         prim = np.linalg.norm(x - Z.ravel())
         dual = np.linalg.norm(Z - Z_prev)
         scale = max(1.0, np.linalg.norm(x))
         if prim <= cfg.tolerance * scale and dual <= cfg.tolerance * scale and it > 10:
             converged = True
             break
+    return Z, trace, iters, converged
 
-    X = Z
-    X, feas_ok = _feasibility_polish(op, M, b, X, constraint, cfg.feasibility_tol)
+
+def _admm_noisy(op, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
+    """Schatten-p minimization over a noise set, then a feasibility polish."""
+    L, m, n = op_shape(op)
+    M = explicit_operator(op)
+    blocks = []
+    G = None
+    if noise.kind in ("lq_bounded", "intersection"):
+        radius = L * noise.eta1
+        blocks.append((M, M.T, b, lambda s: project_lq_ball(s, radius, noise.q)))
+    if noise.kind in ("dantzig", "intersection"):
+        G = M.T @ M  # the Dantzig residual A*(b - A(X)) is M^T b - G x
+        blocks.append((G, G, M.T @ b, lambda s: project_spectral_ball(
+            s.reshape(m, n), noise.eta2).ravel()))
+    X0 = (np.asarray(X0, dtype=float) if X0 is not None
+          else np.linalg.lstsq(M, b, rcond=None)[0].reshape(m, n))
+    X, trace, iters, converged = _admm(
+        X0, lambda V: prox_schatten_p(V, 1.0 / cfg.admm_rho, cfg.p), blocks,
+        lambda Z: schatten_norm(Z, cfg.p) ** cfg.p, cfg)
+    X, feas_ok = _feasibility_polish(op, M, G, b, X, noise, cfg.feasibility_tol)
     return X, trace, iters, converged and feas_ok, feas_ok
 
 
-def _residual_target(op, b, residual, constraint: ConstraintSpec):
-    L, _, _ = op_shape(op)
-    if constraint.kind in ("lq_ball", "intersection"):
-        residual = project_lq_ball(residual, L * constraint.eta1, constraint.q)
-    return residual
+def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec, tol):
+    """Minimum-norm correction moving the residual into the feasible set.
 
-
-def _feasibility_polish(op, M, b, X, constraint: ConstraintSpec, tol):
-    """Minimum-norm correction moving the residual into the feasible set."""
+    ``G`` is the Gram M^T M, needed only for the Dantzig constraint.
+    """
     L, m, n = op_shape(op)
-    spec = constraint.to_noise_spec()
     for _ in range(25):
         s = b - M @ X.ravel()
-        ok, _ = measure.check_feasible(spec, op, s, tol=tol)
+        ok, _ = measure.check_feasible(noise, op, s, tol=tol)
         if ok:
             return X, True
-        if constraint.kind in ("lq_ball", "intersection"):
-            target = _residual_target(op, b, s, constraint)
+        if noise.kind in ("lq_bounded", "intersection"):
             # shrink strictly inside to leave slack for the later DS step
-            target *= 1.0 - 1e-9
+            target = project_lq_ball(s, L * noise.eta1, noise.q) * (1.0 - 1e-9)
             delta, *_ = np.linalg.lstsq(M, s - target, rcond=None)
             X = X + delta.reshape(m, n)
             s = b - M @ X.ravel()
-        if constraint.kind in ("dantzig_ball", "intersection"):
+        if noise.kind in ("dantzig", "intersection"):
             y_cur = adjoint_map(op, s)
-            y_tgt = project_spectral_ball(y_cur, constraint.eta2 * (1.0 - 1e-9))
-            Gmat = M.T @ M
-            delta, *_ = np.linalg.lstsq(Gmat, (y_cur - y_tgt).ravel(), rcond=None)
+            y_tgt = project_spectral_ball(y_cur, noise.eta2 * (1.0 - 1e-9))
+            delta, *_ = np.linalg.lstsq(G, (y_cur - y_tgt).ravel(), rcond=None)
             X = X + delta.reshape(m, n)
     s = b - M @ X.ravel()
-    ok, _ = measure.check_feasible(spec, op, s, tol=tol)
+    ok, _ = measure.check_feasible(noise, op, s, tol=tol)
     return X, ok
 
 
@@ -413,16 +383,15 @@ def _restart_inits(op, b, cfg: SolverConfig, count: int):
     return inits[:count]
 
 
-def schatten_p_minimize(op, b, constraint: ConstraintSpec, cfg: SolverConfig) -> RecoveryReport:
-    """min ||X||_{S_p}^p subject to b - A(X) in B.
+def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:
+    """min ||X||_{S_p}^p subject to b - A(X) in B, the noise set of ``noise``.
 
-    The SROP path is the same operation invoked on the debiased matrix
-    stack.  Restarts rerun the chosen algorithm from perturbed seeds and
-    keep the best feasible objective.
+    Kind "none" (B = {0}) runs IRLS; the other kinds run ADMM.  The SROP
+    path is the same operation invoked on the debiased matrix stack.
+    Restarts rerun the chosen algorithm from perturbed seeds and keep the
+    best feasible objective.
     """
     b = np.asarray(b, dtype=float)
-    if constraint.kind not in ("equality", "lq_ball", "dantzig_ball", "intersection"):
-        raise ValueError(f"unsupported constraint {constraint.kind!r} for Schatten-p")
     L, m, n = op_shape(op)
     if b.shape != (L,):
         raise ValueError("measurement length does not match the map")
@@ -434,11 +403,11 @@ def schatten_p_minimize(op, b, constraint: ConstraintSpec, cfg: SolverConfig) ->
     total_iters = 0
     any_converged = False
     for X0 in _restart_inits(op, b, cfg, n_restarts):
-        if constraint.kind == "equality":
+        if noise.kind == "none":
             X, trace, iters, conv = _irls_equality(op, b, cfg.p, cfg, X0=X0)
             feas_ok = True
         else:
-            X, trace, iters, conv, feas_ok = _admm_noisy(op, b, constraint, cfg, X0=X0)
+            X, trace, iters, conv, feas_ok = _admm_noisy(op, b, noise, cfg, X0=X0)
         traces.append(trace)
         total_iters += iters
         any_converged = any_converged or conv
@@ -451,19 +420,18 @@ def schatten_p_minimize(op, b, constraint: ConstraintSpec, cfg: SolverConfig) ->
             "the constraint set may be empty for this eta")
     X, obj = best
     residual = b - apply_map(op, X)
-    feasible, slacks = measure.check_feasible(
-        constraint.to_noise_spec(), op, residual, tol=cfg.feasibility_tol)
+    feasible, slacks = measure.check_feasible(noise, op, residual, tol=cfg.feasibility_tol)
     return RecoveryReport(
         estimate=X, iterations_used=total_iters, final_objective=obj,
         constraint_slack=slacks, converged=any_converged and feasible,
         objective_traces=traces, method=f"schatten-p(p={cfg.p})",
-        globally_optimal=(cfg.p == 1.0 and constraint.kind == "equality"))
+        globally_optimal=(cfg.p == 1.0 and noise.kind == "none"))
 
 
-def nuclear_norm_baseline(op, b, constraint: ConstraintSpec, cfg: SolverConfig) -> RecoveryReport:
+def nuclear_norm_baseline(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:
     """Convex reference: Schatten-p minimization at p = 1."""
     cfg1 = dataclasses.replace(cfg, p=1.0)
-    report = schatten_p_minimize(op, b, constraint, cfg1)
+    report = schatten_p_minimize(op, b, noise, cfg1)
     report.method = "nuclear"
     return report
 
@@ -535,19 +503,17 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
         budget = cfg.max_iterations
         level_steps = 0  # steps taken at the current smoothing level
         while iters < budget:
-            f_cur = _smoothed_lq(apply_map(op, X) - b, eps, cfg.q)
             r = apply_map(op, X) - b
+            f_cur = _smoothed_lq(r, eps, cfg.q)
             gr = cfg.q * r * (r * r + eps * eps) ** (cfg.q / 2.0 - 1.0)
             grad = adjoint_map(op, gr)
-            gnorm = np.linalg.norm(grad)
-            if gnorm == 0:
-                moved = False
-            else:
-                moved = False
+            moved = False
+            if np.linalg.norm(grad) != 0:
                 t = step * 2.0
                 for _ in range(40):
                     X_try = retract(X - t * grad)
-                    if _smoothed_lq(apply_map(op, X_try) - b, eps, cfg.q) < f_cur:
+                    f_try = _smoothed_lq(apply_map(op, X_try) - b, eps, cfg.q)
+                    if f_try < f_cur:
                         moved = True
                         break
                     t *= 0.5
@@ -557,7 +523,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
                 step = t
                 change = np.linalg.norm(X_try - X) / max(1.0, np.linalg.norm(X))
                 X = X_try
-                trace.append(_smoothed_lq(apply_map(op, X) - b, eps, cfg.q))
+                trace.append(f_try)
             else:
                 change = 0.0
                 trace.append(f_cur)
@@ -598,40 +564,20 @@ def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     if not isinstance(ens, RopEnsemble) or not ens.symmetric:
         raise ValueError("PhaseLift requires a symmetric ensemble")
     stack, btilde = measure.debias(ens, b)
-    Lt, m, _ = op_shape(stack)
+    _, m, _ = op_shape(stack)
     M = explicit_operator(stack)
-    dim = m * m
-    rho = cfg.admm_rho
-    chol = scipy.linalg.cho_factor(np.eye(dim) + M.T @ M, check_finite=False)
 
-    Z = np.eye(m) / m
-    x = Z.ravel()
-    u = np.zeros(dim)
-    w = btilde - M @ x
-    vw = np.zeros(Lt)
-    trace = []
-    iters = 0
-    converged = False
-    for it in range(cfg.max_iterations):
-        iters = it + 1
-        rhs = Z.ravel() - u + M.T @ (btilde - w + vw)
-        x = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
-        Z_prev = Z
-        Z = spectahedron_project(0.5 * ((x + u).reshape(m, m) + (x + u).reshape(m, m).T))
-        s = btilde - M @ x + vw
-        w = np.sign(s) * np.maximum(np.abs(s) - 1.0 / rho, 0.0)  # l1 prox
-        u += x - Z.ravel()
-        vw += btilde - M @ x - w
-        trace.append(float(np.linalg.norm(M @ Z.ravel() - btilde, 1)))
-        prim = np.linalg.norm(x - Z.ravel())
-        dual = np.linalg.norm(Z - Z_prev)
-        scale = max(1.0, np.linalg.norm(x))
-        if prim <= cfg.tolerance * scale and dual <= cfg.tolerance * scale and it > 10:
-            converged = True
-            break
-    obj = float(np.linalg.norm(M @ Z.ravel() - btilde, 1))
+    def l1_prox(s):
+        return np.sign(s) * np.maximum(np.abs(s) - 1.0 / cfg.admm_rho, 0.0)
+
+    def l1_residual(Z):
+        return float(np.linalg.norm(M @ Z.ravel() - btilde, 1))
+
+    Z, trace, iters, converged = _admm(
+        np.eye(m) / m, lambda V: spectahedron_project(0.5 * (V + V.T)),
+        [(M, M.T, btilde, l1_prox)], l1_residual, cfg)
     return RecoveryReport(
-        estimate=Z, iterations_used=iters, final_objective=obj,
+        estimate=Z, iterations_used=iters, final_objective=trace[-1],
         constraint_slack={"trace": 1.0 - float(np.trace(Z)),
                           "min_eigenvalue": float(np.linalg.eigvalsh(Z).min())},
         converged=converged, objective_traces=[trace], method="phaselift-lad")

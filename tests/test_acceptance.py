@@ -12,7 +12,7 @@ import pytest
 
 from roprec import certify, harness, linalg, measure, solvers
 from roprec.harness import ExperimentConfig
-from roprec.solvers import ConstraintSpec, SolverConfig
+from roprec.solvers import SolverConfig
 
 from _oracles import rank1_fit_objective_2x2
 
@@ -230,7 +230,7 @@ def test_criterion_10_2x2_global_optimum_oracle():
         ens = measure.sample_gaussian_rop(2, 2, 5, seed=seed)
         b = measure.apply_map(ens, X0)
         report = solvers.schatten_p_minimize(
-            ens, b, ConstraintSpec(kind="equality"),
+            ens, b, measure.NoiseSpec(kind="none"),
             SolverConfig(p=0.5, max_iterations=300, seed=seed))
         oracle_obj, oracle_res = rank1_fit_objective_2x2(
             ens.betas, ens.gammas, b, 0.5)

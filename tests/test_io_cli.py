@@ -152,3 +152,52 @@ def test_cli_config_file_driving(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("m,n,r,L,")
     assert len(lines) == 2
+
+
+def test_cli_missing_input_file_exit_code(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert cli.main(["recover", "--ensemble", missing, "--measurements", missing,
+                     "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def noisy_recover_inputs(tmp_path_factory):
+    # intersection noise lies in the lq ball and the Dantzig ball at once
+    d = tmp_path_factory.mktemp("noisy")
+    ens_path, truth_path, b_path = d / "ens.txt", d / "x0.txt", d / "b.txt"
+    assert cli.main(["sample", "--m", "6", "--n", "6", "--L", "80",
+                     "--seed", "0", "--out", str(ens_path)]) == 0
+    g = np.random.default_rng(1)
+    X0 = np.outer(g.standard_normal(6), g.standard_normal(6))
+    fileio.write_matrix(truth_path, X0 / np.linalg.norm(X0))
+    assert cli.main(["measure", "--ensemble", str(ens_path), "--matrix", str(truth_path),
+                     "--noise-kind", "intersection", "--q", "1", "--eta1", "0.01",
+                     "--eta2", "0.5", "--out", str(b_path)]) == 0
+    return ens_path, b_path
+
+
+@pytest.mark.parametrize("constraint, keys", [
+    ("eq", {"equality"}), ("lq", {"lq"}), ("ds", {"dantzig"}), ("both", {"lq", "dantzig"}),
+])
+def test_cli_recover_constraint_mapping(tmp_path, noisy_recover_inputs, constraint, keys):
+    ens_path, b_path = noisy_recover_inputs
+    out = tmp_path / "r.json"
+    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--constraint", constraint, "--eta1", "0.01", "--eta2", "0.5",
+                     "--max-iterations", "200", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["constraint_slack"]) == keys
+
+
+def test_cli_recover_rejects_sphere_constraint(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["recover", "--ensemble", "e.txt", "--measurements", "b.txt",
+                  "--constraint", "sphere", "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+
+
+def test_package_exports_resolve():
+    import roprec
+    for name in roprec.__all__:
+        assert hasattr(roprec, name), name

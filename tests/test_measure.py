@@ -179,6 +179,13 @@ def test_explicit_operator_cap():
 # noise
 
 
+def test_noise_spec_validation():
+    with pytest.raises(ValueError):
+        NoiseSpec(kind="lq_bounded", q=1.0)  # missing eta1
+    with pytest.raises(ValueError):
+        NoiseSpec(kind="banana")
+
+
 def test_noise_none_is_zero():
     ens = _random_ensemble(3, 3, 5)
     assert np.allclose(measure.generate_noise(NoiseSpec(kind="none"), ens), 0.0)

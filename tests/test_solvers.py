@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roprec import linalg, measure, solvers
-from roprec.solvers import ConstraintSpec, SolverConfig
+from roprec.measure import NoiseSpec
+from roprec.solvers import SolverConfig
 
 rng = np.random.default_rng(77)
 
@@ -69,7 +70,7 @@ def test_spectral_ball_projection():
 
 def test_equality_convex_recovers_planted_rank1():
     ens, X0, b = _planted(8, 8, 1, 120, seed=1)
-    report = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"),
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
                                          SolverConfig(p=1.0, max_iterations=300))
     err = np.linalg.norm(report.estimate - X0) / np.linalg.norm(X0)
     assert err <= 1e-3
@@ -79,7 +80,7 @@ def test_equality_convex_recovers_planted_rank1():
 def test_equality_zero_measurements_give_zero():
     ens = measure.sample_gaussian_rop(4, 4, 30, seed=2)
     report = solvers.schatten_p_minimize(ens, np.zeros(30),
-                                         ConstraintSpec(kind="equality"),
+                                         NoiseSpec(kind="none"),
                                          SolverConfig(p=1.0, max_iterations=100))
     assert np.allclose(report.estimate, 0.0, atol=1e-8)
     assert report.final_objective == pytest.approx(0.0, abs=1e-8)
@@ -88,14 +89,14 @@ def test_equality_zero_measurements_give_zero():
 def test_nonconvex_beats_truth_objective_2x2():
     ens, X0, b = _planted(2, 2, 1, 5, seed=3)
     cfg = SolverConfig(p=0.5, max_iterations=300, restarts=3)
-    report = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"), cfg)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
     truth_obj = linalg.schatten_norm(X0, 0.5) ** 0.5
     assert report.final_objective <= truth_obj + 1e-6
 
 
 def test_irls_objective_trace_monotone():
     ens, X0, b = _planted(6, 6, 1, 60, seed=4)
-    report = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"),
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
                                          SolverConfig(p=0.7, max_iterations=200,
                                                       restarts=1))
     for trace in report.objective_traces:
@@ -106,8 +107,8 @@ def test_irls_objective_trace_monotone():
 def test_scaling_equivariance_equality():
     ens, X0, b = _planted(5, 5, 1, 50, seed=5)
     cfg = SolverConfig(p=1.0, max_iterations=300)
-    base = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"), cfg)
-    scaled = solvers.schatten_p_minimize(ens, 3.0 * b, ConstraintSpec(kind="equality"), cfg)
+    base = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+    scaled = solvers.schatten_p_minimize(ens, 3.0 * b, NoiseSpec(kind="none"), cfg)
     rel = np.linalg.norm(scaled.estimate - 3.0 * base.estimate) \
         / max(1.0, np.linalg.norm(3.0 * base.estimate))
     assert rel <= 1e-6
@@ -117,7 +118,7 @@ def test_cone_constraint_on_solver_output():
     # lemma hypothesis/conclusion pair checked on the actual solver residual
     ens, X0, b = _planted(6, 6, 2, 90, seed=6)
     p = 0.5
-    report = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"),
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
                                          SolverConfig(p=p, max_iterations=200))
     if linalg.schatten_norm(report.estimate, p) ** p \
             <= linalg.schatten_norm(X0, p) ** p + 1e-12:
@@ -131,14 +132,19 @@ def test_cone_constraint_on_solver_output():
         assert lhs <= rhs + 1e-8
 
 
-def test_noisy_lq_ball_feasible_at_exit():
-    ens, X0, b_clean = _planted(6, 6, 1, 80, seed=7)
-    spec = measure.NoiseSpec(kind="lq_bounded", q=1.0, eta1=0.01)
-    z = measure.generate_noise(spec, ens, seed=7)
-    b = b_clean + z
-    constraint = ConstraintSpec(kind="lq_ball", q=1.0, eta1=0.01)
-    report = solvers.schatten_p_minimize(ens, b, constraint,
-                                         SolverConfig(p=1.0, max_iterations=400))
+@pytest.mark.parametrize("kind, m, L, seed, p", [
+    ("lq_bounded", 6, 80, 7, 1.0),
+    ("dantzig", 5, 60, 8, 1.0),
+    ("intersection", 6, 80, 0, 1.0),
+    ("intersection", 6, 80, 0, 0.5),
+], ids=["lq_bounded", "dantzig", "intersection", "intersection-nonconvex"])
+def test_noisy_feasible_at_exit(kind, m, L, seed, p):
+    ens, X0, b_clean = _planted(m, m, 1, L, seed=seed)
+    # the solver's constraint set is the set the noise is drawn onto
+    spec = NoiseSpec(kind=kind, q=1.0, eta1=0.01, eta2=0.5)
+    b = b_clean + measure.generate_noise(spec, ens, seed=seed)
+    report = solvers.schatten_p_minimize(ens, b, spec,
+                                         SolverConfig(p=p, max_iterations=400))
     ok, _ = measure.check_feasible(spec, ens, b - measure.apply_map(ens, report.estimate),
                                    tol=1e-6)
     assert ok
@@ -146,25 +152,12 @@ def test_noisy_lq_ball_feasible_at_exit():
     assert err <= 0.2  # coarse: noise level 0.01 per measurement
 
 
-def test_noisy_dantzig_feasible_at_exit():
-    ens, X0, b_clean = _planted(5, 5, 1, 60, seed=8)
-    spec = measure.NoiseSpec(kind="dantzig", eta2=0.5)
-    z = measure.generate_noise(spec, ens, seed=8)
-    constraint = ConstraintSpec(kind="dantzig_ball", eta2=0.5)
-    report = solvers.schatten_p_minimize(ens, b_clean + z, constraint,
-                                         SolverConfig(p=1.0, max_iterations=400))
-    ok, _ = measure.check_feasible(spec, ens,
-                                   b_clean + z - measure.apply_map(ens, report.estimate),
-                                   tol=1e-6)
-    assert ok
-
-
 def test_nuclear_baseline_agrees_with_p1():
     ens, X0, b = _planted(5, 5, 1, 60, seed=9)
     cfg = SolverConfig(p=0.5, max_iterations=300)  # baseline must override p
-    a = solvers.nuclear_norm_baseline(ens, b, ConstraintSpec(kind="equality"), cfg)
+    a = solvers.nuclear_norm_baseline(ens, b, NoiseSpec(kind="none"), cfg)
     cfg1 = SolverConfig(p=1.0, max_iterations=300)
-    c = solvers.schatten_p_minimize(ens, b, ConstraintSpec(kind="equality"), cfg1)
+    c = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg1)
     assert a.final_objective == pytest.approx(c.final_objective, abs=1e-5)
 
 
@@ -243,10 +236,3 @@ def test_solver_config_validation():
         SolverConfig(p=0.0)
     with pytest.raises(ValueError):
         SolverConfig(smoothing_decay=1.5)
-    with pytest.raises(ValueError):
-        ConstraintSpec(kind="lq_ball", q=1.0)  # missing eta1
-
-
-def test_constraint_spec_unknown_kind():
-    with pytest.raises(ValueError):
-        ConstraintSpec(kind="banana")
