@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .measure import apply_map, op_shape, _substream
-from .linalg import rank_split, schatten_norm
+from .linalg import _single_blas_thread, rank_split, schatten_norm
 
 _STREAM_RUB = 3
 
@@ -63,6 +63,7 @@ def _rank_r_sample(m: int, n: int, r: int, rng: np.random.Generator) -> np.ndarr
     return X / np.linalg.norm(X)
 
 
+@_single_blas_thread()
 def estimate_rub(op, r: int, q: float, trials: int, seed: int = 0) -> RubEstimate:
     """Sample min/max of ||A(X)||_q^q / L over unit-norm rank-r matrices.
 

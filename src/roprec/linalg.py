@@ -1,13 +1,23 @@
 """Dense real-matrix primitives.
 
 SVD, Schatten (quasi-)norms, best rank-r splits, inner products and the
-spectahedron projection used by the PhaseLift solver.  All functions are
-pure and operate on plain numpy arrays.
+spectahedron projection used by the PhaseLift solver.  All public
+functions are pure and operate on plain numpy arrays.
+
+``_single_blas_thread`` runs a call with every loaded OpenBLAS pool set
+to one thread.  numpy and scipy each bring their own OpenBLAS; on the
+small dense kernels here their thread pools only contend with each other,
+and results would otherwise depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import os
+import threading
 
 import numpy as np
 
@@ -140,3 +150,74 @@ def spectahedron_project(X, sym_tol: float = 1e-8) -> np.ndarray:
     w, Q = np.linalg.eigh(S)
     w_proj = simplex_project(w)
     return (Q * w_proj) @ Q.T
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading.
+
+
+# (get, set) thread-count symbol names: the OpenBLAS builds bundled in the
+# numpy and scipy wheels prefix them, and 64-bit-integer builds add a suffix.
+_OPENBLAS_SYMBOLS = tuple((f"{prefix}get_num_threads{suffix}",
+                           f"{prefix}set_num_threads{suffix}")
+                          for prefix in ("scipy_openblas_", "openblas_")
+                          for suffix in ("64_", ""))
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    Empty where /proc/self/maps is missing or no OpenBLAS exports them.
+    Looked up on first use, not at import.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted(p for p in paths if os.path.isfile(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = ()
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the body (or, used as a decorator, each call) on one BLAS thread.
+
+    The thread counts are process-wide, so nested and concurrent entries
+    share one pin: the outermost entry sets every OpenBLAS pool to one
+    thread, and the last exit restores each pool's previous count, also
+    when the body raises.
+    """
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = tuple((put, get()) for get, put in _openblas_pools())
+            for put, _ in _pin_saved:
+                put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for put, count in _pin_saved:
+                    put(count)

@@ -33,7 +33,8 @@ import numpy as np
 import scipy.linalg
 
 from . import measure
-from .linalg import schatten_norm, simplex_project, spectahedron_project, svd
+from .linalg import (_single_blas_thread, schatten_norm, simplex_project,
+                     spectahedron_project, svd)
 from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_operator, op_shape
 
 _STREAM_SOLVER = 7
@@ -383,6 +384,7 @@ def _restart_inits(op, b, cfg: SolverConfig, count: int):
     return inits[:count]
 
 
+@_single_blas_thread()
 def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:
     """min ||X||_{S_p}^p subject to b - A(X) in B, the noise set of ``noise``.
 
@@ -440,6 +442,7 @@ def _smoothed_lq(residual, eps, q):
     return float(np.sum((residual**2 + eps**2) ** (q / 2.0)))
 
 
+@_single_blas_thread()
 def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     """min ||A(X) - b||_q^q subject to ||X||_{S_p} = 1 (0 < p <= q <= 1).
 
@@ -554,6 +557,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
         method=f"least-q(q={cfg.q},p={cfg.p})")
 
 
+@_single_blas_thread()
 def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     """min ||Atilde(X) - btilde||_1 subject to X PSD with trace 1.
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from roprec import cli, fileio, measure
+import roprec
+from roprec import cli, fileio, linalg, measure
 
 rng = np.random.default_rng(31)
 
@@ -138,6 +142,24 @@ def test_cli_phase_transition_deterministic(tmp_path):
         assert cli.main(["phase-transition", "--m", "4", "--n", "4", "--r", "1",
                          "--L", "30", "--trials", "2", "--seed", "5",
                          "--max-iterations", "200", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
+    if not linalg._openblas_pools():
+        pytest.skip("no OpenBLAS thread-count symbols found in this process")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"pt{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run(
+            [sys.executable, "-m", "roprec.cli", "phase-transition", "--m", "20", "--n", "20",
+             "--r", "2", "--L", "240", "--method", "schatten-p", "--p", "0.5",
+             "--trials", "1", "--max-iterations", "200", "--seed", "1", "--out", str(out)],
+            env=env, check=True, timeout=300)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 

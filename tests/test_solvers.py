@@ -1,7 +1,11 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from roprec import linalg, measure, solvers
+from roprec import certify, linalg, measure, solvers
 from roprec.measure import NoiseSpec
 from roprec.solvers import SolverConfig
 
@@ -236,3 +240,93 @@ def test_solver_config_validation():
         SolverConfig(p=0.0)
     with pytest.raises(ValueError):
         SolverConfig(smoothing_decay=1.5)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threading
+
+
+@pytest.fixture
+def blas_pools():
+    """Every loaded OpenBLAS set to two threads; the old counts come back after."""
+    pools = linalg._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS thread-count symbols found in this process")
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, before):
+        put(count)
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_solver_runs_on_one_blas_thread_and_restores(blas_pools, monkeypatch, fail):
+    seen = []
+    irls = solvers._irls_equality
+
+    def spy(*args, **kwargs):
+        seen.append([get() for get, _ in blas_pools])
+        result = irls(*args, **kwargs)
+        if fail:
+            raise solvers.SolverError("forced failure")
+        return result
+
+    monkeypatch.setattr(solvers, "_irls_equality", spy)
+    ens, _, b = _planted(5, 5, 1, 60, seed=9)
+    with pytest.raises(solvers.SolverError) if fail else contextlib.nullcontext():
+        solvers.nuclear_norm_baseline(ens, b, NoiseSpec(kind="none"),
+                                      SolverConfig(max_iterations=50))
+    assert seen == [[1] * len(blas_pools)]
+    assert [get() for get, _ in blas_pools] == [2] * len(blas_pools)
+
+
+def test_blas_pin_shared_by_concurrent_calls(blas_pools, monkeypatch):
+    seen = []
+    apply = certify.apply_map
+
+    def spy(op, X):
+        seen.append(tuple(get() for get, _ in blas_pools))
+        return apply(op, X)
+
+    monkeypatch.setattr(certify, "apply_map", spy)
+    ens = measure.sample_gaussian_rop(4, 4, 20, seed=0)
+
+    def work():
+        for _ in range(20):
+            certify.estimate_rub(ens, 1, 1.0, trials=20)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 4 * 20 * 20
+    assert set(seen) == {(1,) * len(blas_pools)}
+    assert [get() for get, _ in blas_pools] == [2] * len(blas_pools)
+
+
+def test_solver_result_unchanged_without_openblas(monkeypatch):
+    ens, _, b = _planted(5, 5, 1, 60, seed=9)
+    cfg = SolverConfig(p=0.5, max_iterations=100)
+    pinned = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+    # With no library found the pin does nothing; one thread is set by hand
+    # so that the two runs do the same arithmetic.
+    pools = linalg._openblas_pools()
+    before = [get() for get, _ in pools]
+    monkeypatch.setattr(linalg, "_openblas_pools", lambda: ())
+    try:
+        for _, put in pools:
+            put(1)
+        bare = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+    finally:
+        for (_, put), count in zip(pools, before):
+            put(count)
+    assert np.array_equal(bare.estimate, pinned.estimate)
+    assert bare.objective_traces == pinned.objective_traces
