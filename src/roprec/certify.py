@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .measure import apply_map, op_shape, _substream
+from .measure import apply_map, _substream
 from .linalg import _single_blas_thread, rank_split, schatten_norm
 
 _STREAM_RUB = 3
@@ -72,7 +72,7 @@ def estimate_rub(op, r: int, q: float, trials: int, seed: int = 0) -> RubEstimat
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    L, m, n = op_shape(op)
+    L, m, n = op.L, op.m, op.n
     if r < 1 or r > min(m, n):
         raise ValueError(f"rank order {r} out of range for ({m}, {n})")
     ratios = np.empty(trials)

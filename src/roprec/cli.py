@@ -113,8 +113,8 @@ def _experiment_cfg(args, kind: str) -> harness.ExperimentConfig:
     raw = fileio.read_config(args.config) if args.config else {}
 
     def get(key, cast, default):
-        if getattr(args, key.replace("-", "_"), None) is not None:
-            return getattr(args, key.replace("-", "_"))
+        if getattr(args, key, None) is not None:
+            return getattr(args, key)
         if key in raw:
             return cast(raw[key])
         return default

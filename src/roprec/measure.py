@@ -2,9 +2,10 @@
 
 An ensemble stores the L vector pairs (beta_j, gamma_j); the measurement
 matrices A_j = beta_j gamma_j^T are never materialized by apply/adjoint,
-which run in O(L(m+n)) flops.  The symmetric (SROP) mode with its
-debiasing transform, the two bounded-noise models, and an explicit
-vectorized operator for small-instance oracles live here too.
+which run in O(L(m+n)) flops.  ``RopEnsemble`` is the only operator type:
+the debiased SROP map is the difference of two symmetric half-ensembles
+(see ``debias``).  The two bounded-noise models and an explicit vectorized
+operator for small-instance oracles live here too.
 
 Randomness uses the Philox counter-based generator with a 64-bit seed and
 a per-measurement substream keyed by (seed, j), so ensembles reproduce
@@ -108,53 +109,36 @@ def sample_gaussian_rop(m: int, n: int, L: int, symmetric: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# The solver-facing operator interface.  An "op" is either a RopEnsemble or
-# an explicit stack of measurement matrices with shape (L, m, n), as produced
-# by debias().
+# The solver-facing operator interface.
 
 
-def op_shape(op) -> tuple[int, int, int]:
-    """(L, m, n) of an ensemble or explicit matrix stack."""
-    if isinstance(op, RopEnsemble):
-        return op.L, op.m, op.n
-    op = np.asarray(op)
-    if op.ndim != 3:
-        raise ValueError(f"expected (L, m, n) stack, got shape {op.shape}")
-    return op.shape[0], op.shape[1], op.shape[2]
+def apply_map(op: RopEnsemble, X) -> np.ndarray:
+    """Evaluate the linear map: values[j] = <A_j, X> = beta_j^T X gamma_j.
 
-
-def apply_map(op, X) -> np.ndarray:
-    """Evaluate the linear map: values[j] = <A_j, X>.
-
-    For an ensemble this is beta_j^T X gamma_j via two matrix-vector
-    products; A_j is never formed.
+    Two matrix-vector products per measurement; A_j is never formed.
     """
     X = np.asarray(X, dtype=float)
-    _, m, n = op_shape(op)
-    if X.shape != (m, n):
-        raise ValueError(f"matrix shape {X.shape} does not match map ({m}, {n})")
-    if isinstance(op, RopEnsemble):
-        return np.einsum("ji,ji->j", op.betas @ X, op.gammas)
-    return np.einsum("jik,ik->j", np.asarray(op), X)
+    if X.shape != (op.m, op.n):
+        raise ValueError(f"matrix shape {X.shape} does not match map ({op.m}, {op.n})")
+    return np.einsum("ji,ji->j", op.betas @ X, op.gammas)
 
 
-def adjoint_map(op, z) -> np.ndarray:
+def adjoint_map(op: RopEnsemble, z) -> np.ndarray:
     """Adjoint A*(z) = sum_j z_j A_j under the trace inner product."""
     z = np.asarray(z, dtype=float)
-    L, _, _ = op_shape(op)
-    if z.shape != (L,):
-        raise ValueError(f"measurement length {z.shape} does not match L={L}")
-    if isinstance(op, RopEnsemble):
-        return (op.betas * z[:, None]).T @ op.gammas
-    return np.einsum("j,jik->ik", z, np.asarray(op))
+    if z.shape != (op.L,):
+        raise ValueError(f"measurement length {z.shape} does not match L={op.L}")
+    return (op.betas * z[:, None]).T @ op.gammas
 
 
-def debias(ens: RopEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
+def debias(ens: RopEnsemble, b) -> tuple[RopEnsemble, RopEnsemble, np.ndarray]:
     """Pair consecutive SROP measurements into differences.
 
-    Returns the explicit stack of symmetric matrices
-    Atilde_j = A_{2j-1} - A_{2j} (shape (floor(L/2), m, m)) and the
-    differenced measurements btilde.  An odd final measurement is dropped.
+    Returns (plus, minus, btilde): the symmetric half-ensembles over rows
+    0, 2, 4, ... and 1, 3, 5, ..., and the differenced measurements.  The
+    debiased map Atilde_j = A_{2j-1} - A_{2j} is
+    apply_map(plus, X) - apply_map(minus, X).  An odd final measurement
+    is dropped.
     """
     if not isinstance(ens, RopEnsemble) or not ens.symmetric:
         raise ValueError("debias requires a symmetric ensemble")
@@ -164,19 +148,17 @@ def debias(ens: RopEnsemble, b) -> tuple[np.ndarray, np.ndarray]:
     Lt = ens.L // 2
     odd = ens.betas[0:2 * Lt:2]
     even = ens.betas[1:2 * Lt:2]
-    stack = np.einsum("ji,jk->jik", odd, odd) - np.einsum("ji,jk->jik", even, even)
+    plus = RopEnsemble(betas=odd, gammas=odd, symmetric=True)
+    minus = RopEnsemble(betas=even, gammas=even, symmetric=True)
     btilde = b[0:2 * Lt:2] - b[1:2 * Lt:2]
-    return stack, btilde
+    return plus, minus, btilde
 
 
-def explicit_operator(op, cap: int = 4096) -> np.ndarray:
+def explicit_operator(op: RopEnsemble, cap: int = 4096) -> np.ndarray:
     """(L, m*n) matrix whose row j is the row-major vectorization of A_j."""
-    L, m, n = op_shape(op)
-    if m * n > cap:
-        raise ResourceError(f"explicit operator for m*n={m * n} exceeds cap {cap}")
-    if isinstance(op, RopEnsemble):
-        return np.einsum("ji,jk->jik", op.betas, op.gammas).reshape(L, m * n)
-    return np.asarray(op, dtype=float).reshape(L, m * n)
+    if op.m * op.n > cap:
+        raise ResourceError(f"explicit operator for m*n={op.m * op.n} exceeds cap {cap}")
+    return np.einsum("ji,jk->jik", op.betas, op.gammas).reshape(op.L, op.m * op.n)
 
 
 def lq_norm(z, q: float) -> float:
@@ -194,7 +176,7 @@ def generate_noise(spec: NoiseSpec, ens, seed: int = 0) -> np.ndarray:
     intersection: the tighter of the two scalings, so both constraints hold
     with at least one active.
     """
-    L, _, _ = op_shape(ens)
+    L = ens.L
     if spec.kind == "none":
         return np.zeros(L)
     z = _substream(seed, _STREAM_NOISE, 0).standard_normal(L)
@@ -221,8 +203,7 @@ def check_feasible(spec: NoiseSpec, ens, residual, tol: float = 0.0):
         slacks["equality"] = -float(np.max(np.abs(residual), initial=0.0))
         return slacks["equality"] >= -tol, slacks
     if spec.kind in ("lq_bounded", "intersection"):
-        L, _, _ = op_shape(ens)
-        slacks["lq"] = spec.eta1 - lq_norm(residual, spec.q) / L
+        slacks["lq"] = spec.eta1 - lq_norm(residual, spec.q) / ens.L
     if spec.kind in ("dantzig", "intersection"):
         opnorm = singular_values(adjoint_map(ens, residual))[0]
         slacks["dantzig"] = spec.eta2 - opnorm

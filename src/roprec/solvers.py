@@ -16,9 +16,11 @@ module owns the algorithmic choices:
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
   Z step and an l1 soft threshold as its one residual block.
 
-Both ADMM programs run one loop, ``_admm``, on the explicit vectorized
-operator: an x-update through a single Cholesky factor, then one
-proximal step for Z and one per residual block (Boyd et al. 2011).
+Every operator is a ``measure.RopEnsemble``; PhaseLift's debiased map is
+the difference of two half-ensembles.  Both ADMM programs run one loop,
+``_admm``, on the explicit vectorized operator: an x-update through a
+single Cholesky factor, then one proximal step for Z and one per residual
+block (Boyd et al. 2011).
 
 Nonconvexity is handled by seeded restarts; reports keep every
 per-restart objective trace and distinguish "converged" from any claim
@@ -35,9 +37,17 @@ import scipy.linalg
 from . import measure
 from .linalg import (_single_blas_thread, schatten_norm, simplex_project,
                      spectahedron_project, svd)
-from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_operator, op_shape
+from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_operator
 
 _STREAM_SOLVER = 7
+
+# Relative-change stopping tolerance, smoothing start and floor, ADMM
+# penalty, and the slack allowed when a result is checked against its set.
+_TOLERANCE = 1e-7
+_SMOOTHING_INITIAL = 1e-1
+_SMOOTHING_FLOOR = 1e-10
+_ADMM_RHO = 1.0
+_FEASIBILITY_TOL = 1e-6
 
 
 @dataclasses.dataclass
@@ -45,22 +55,16 @@ class SolverConfig:
     p: float = 1.0
     q: float = 1.0
     max_iterations: int = 2000
-    tolerance: float = 1e-7
-    smoothing_epsilon_initial: float = 1e-1
     smoothing_decay: float = 0.7
-    smoothing_floor: float = 1e-10
-    admm_rho: float = 1.0
     restarts: int = 3
     seed: int = 0
-    feasibility_tol: float = 1e-6
 
     def __post_init__(self):
         if not (0 < self.p <= 1) or not (0 < self.q <= 1):
             raise ValueError("p and q must lie in (0, 1]")
         if not (0 < self.smoothing_decay < 1):
             raise ValueError("smoothing_decay must lie in (0, 1)")
-        if min(self.max_iterations, self.tolerance, self.smoothing_epsilon_initial,
-               self.smoothing_floor, self.admm_rho) <= 0 or self.restarts < 1:
+        if self.max_iterations <= 0 or self.restarts < 1:
             raise ValueError("solver configuration values must be positive")
 
 
@@ -191,31 +195,20 @@ def project_spectral_ball(Y: np.ndarray, radius: float) -> np.ndarray:
 # Equality-constrained Schatten-p minimization: matrix IRLS.
 
 
-def _wls_solver(op):
+def _wls_solver(op: RopEnsemble):
     """Returns solve(W_inv, b) minimizing tr(X^T W X) subject to A(X) = b.
 
     The minimizer is X = W^{-1} A*(lambda) with the Gram system
     G lambda = b, G_ij = <A_i, W^{-1} A_j>.  For rank-one ensembles the
     Gram is a Hadamard product of two L x L Grams.
     """
-    if isinstance(op, RopEnsemble):
-        gram_gamma = op.gammas @ op.gammas.T
-
-        def solve(W_inv, b):
-            BW = op.betas @ W_inv
-            G = (BW @ op.betas.T) * gram_gamma
-            lam = _solve_psd(G, b)
-            return BW.T @ (lam[:, None] * op.gammas)
-
-        return solve
-
-    A = np.asarray(op, dtype=float)
+    gram_gamma = op.gammas @ op.gammas.T
 
     def solve(W_inv, b):
-        WA = np.einsum("ab,jbc->jac", W_inv, A)
-        G = np.einsum("jac,kac->jk", A, WA)
+        BW = op.betas @ W_inv
+        G = (BW @ op.betas.T) * gram_gamma
         lam = _solve_psd(G, b)
-        return np.einsum("j,jac->ac", lam, WA)
+        return BW.T @ (lam[:, None] * op.gammas)
 
     return solve
 
@@ -239,13 +232,12 @@ def _smoothed_schatten(X, eps, p):
 
 
 def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
-    L, m, n = op_shape(op)
     solve = _wls_solver(op)
     if X0 is None:
-        X = solve(np.eye(m), b)  # minimum-Frobenius feasible point
+        X = solve(np.eye(op.m), b)  # minimum-Frobenius feasible point
     else:
         X = np.asarray(X0, dtype=float)
-    eps = cfg.smoothing_epsilon_initial
+    eps = _SMOOTHING_INITIAL
     trace = []
     iters = 0
     converged = False
@@ -258,8 +250,8 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
         trace.append(_smoothed_schatten(X_new, eps, p))
         change = np.linalg.norm(X_new - X) / max(1.0, np.linalg.norm(X))
         X = X_new
-        eps = max(eps * cfg.smoothing_decay, cfg.smoothing_floor)
-        if change <= cfg.tolerance and eps <= max(cfg.smoothing_floor, 1e-9) * 1.001:
+        eps = max(eps * cfg.smoothing_decay, _SMOOTHING_FLOOR)
+        if change <= _TOLERANCE and eps <= max(_SMOOTHING_FLOOR, 1e-9) * 1.001:
             converged = True
             break
     return X, trace, iters, converged
@@ -309,7 +301,7 @@ def _admm(X0, prox_z, blocks, objective, cfg: SolverConfig):
         prim = np.linalg.norm(x - Z.ravel())
         dual = np.linalg.norm(Z - Z_prev)
         scale = max(1.0, np.linalg.norm(x))
-        if prim <= cfg.tolerance * scale and dual <= cfg.tolerance * scale and it > 10:
+        if prim <= _TOLERANCE * scale and dual <= _TOLERANCE * scale and it > 10:
             converged = True
             break
     return Z, trace, iters, converged
@@ -317,7 +309,7 @@ def _admm(X0, prox_z, blocks, objective, cfg: SolverConfig):
 
 def _admm_noisy(op, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
     """Schatten-p minimization over a noise set, then a feasibility polish."""
-    L, m, n = op_shape(op)
+    L, m, n = op.L, op.m, op.n
     M = explicit_operator(op)
     blocks = []
     G = None
@@ -331,21 +323,21 @@ def _admm_noisy(op, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
     X0 = (np.asarray(X0, dtype=float) if X0 is not None
           else np.linalg.lstsq(M, b, rcond=None)[0].reshape(m, n))
     X, trace, iters, converged = _admm(
-        X0, lambda V: prox_schatten_p(V, 1.0 / cfg.admm_rho, cfg.p), blocks,
+        X0, lambda V: prox_schatten_p(V, 1.0 / _ADMM_RHO, cfg.p), blocks,
         lambda Z: schatten_norm(Z, cfg.p) ** cfg.p, cfg)
-    X, feas_ok = _feasibility_polish(op, M, G, b, X, noise, cfg.feasibility_tol)
+    X, feas_ok = _feasibility_polish(op, M, G, b, X, noise)
     return X, trace, iters, converged and feas_ok, feas_ok
 
 
-def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec, tol):
+def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec):
     """Minimum-norm correction moving the residual into the feasible set.
 
     ``G`` is the Gram M^T M, needed only for the Dantzig constraint.
     """
-    L, m, n = op_shape(op)
+    L, m, n = op.L, op.m, op.n
     for _ in range(25):
         s = b - M @ X.ravel()
-        ok, _ = measure.check_feasible(noise, op, s, tol=tol)
+        ok, _ = measure.check_feasible(noise, op, s, tol=_FEASIBILITY_TOL)
         if ok:
             return X, True
         if noise.kind in ("lq_bounded", "intersection"):
@@ -360,7 +352,7 @@ def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec, tol):
             delta, *_ = np.linalg.lstsq(G, (y_cur - y_tgt).ravel(), rcond=None)
             X = X + delta.reshape(m, n)
     s = b - M @ X.ravel()
-    ok, _ = measure.check_feasible(noise, op, s, tol=tol)
+    ok, _ = measure.check_feasible(noise, op, s, tol=_FEASIBILITY_TOL)
     return X, ok
 
 
@@ -370,16 +362,15 @@ def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec, tol):
 
 def _restart_inits(op, b, cfg: SolverConfig, count: int):
     """Seeded initial points: None (method default), adjoint image, Gaussians."""
-    L, m, n = op_shape(op)
     inits = [None]
     Ab = adjoint_map(op, b)
     nrm = np.linalg.norm(Ab)
     if nrm > 0:
-        inits.append(Ab / nrm * max(1.0, np.linalg.norm(b) / max(L, 1)))
+        inits.append(Ab / nrm * max(1.0, np.linalg.norm(b) / max(op.L, 1)))
     j = 0
     while len(inits) < count:
         g = measure._substream(cfg.seed, _STREAM_SOLVER, j)
-        inits.append(g.standard_normal((m, n)))
+        inits.append(g.standard_normal((op.m, op.n)))
         j += 1
     return inits[:count]
 
@@ -388,14 +379,12 @@ def _restart_inits(op, b, cfg: SolverConfig, count: int):
 def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:
     """min ||X||_{S_p}^p subject to b - A(X) in B, the noise set of ``noise``.
 
-    Kind "none" (B = {0}) runs IRLS; the other kinds run ADMM.  The SROP
-    path is the same operation invoked on the debiased matrix stack.
+    Kind "none" (B = {0}) runs IRLS; the other kinds run ADMM.
     Restarts rerun the chosen algorithm from perturbed seeds and keep the
     best feasible objective.
     """
     b = np.asarray(b, dtype=float)
-    L, m, n = op_shape(op)
-    if b.shape != (L,):
+    if b.shape != (op.L,):
         raise ValueError("measurement length does not match the map")
 
     # Convex case needs no restarts; nonconvex p gets them.
@@ -422,7 +411,7 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
             "the constraint set may be empty for this eta")
     X, obj = best
     residual = b - apply_map(op, X)
-    feasible, slacks = measure.check_feasible(noise, op, residual, tol=cfg.feasibility_tol)
+    feasible, slacks = measure.check_feasible(noise, op, residual, tol=_FEASIBILITY_TOL)
     return RecoveryReport(
         estimate=X, iterations_used=total_iters, final_objective=obj,
         constraint_slack=slacks, converged=any_converged and feasible,
@@ -455,8 +444,8 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     b = np.asarray(b, dtype=float)
     if cfg.p > cfg.q:
         raise ValueError("least-q requires p <= q")
-    L, m, n = op_shape(op)
-    if b.shape != (L,):
+    m, n = op.m, op.n
+    if b.shape != (op.L,):
         raise ValueError("measurement length does not match the map")
 
     def retract(X):
@@ -498,7 +487,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     any_converged = False
     for X0 in inits:
         X = X0
-        eps = cfg.smoothing_epsilon_initial
+        eps = _SMOOTHING_INITIAL
         step = 1.0
         trace = []
         iters = 0
@@ -533,14 +522,14 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
             # Anneal on an eps-scaled stall, or after a bounded number of
             # steps per level, so the smoothing actually reaches the floor
             # within the iteration budget.
-            if not moved or change <= max(cfg.tolerance, 1e-3 * eps) \
+            if not moved or change <= max(_TOLERANCE, 1e-3 * eps) \
                     or level_steps >= 25:
-                if eps <= cfg.smoothing_floor * 1.001:
-                    if not moved or change <= cfg.tolerance:
+                if eps <= _SMOOTHING_FLOOR * 1.001:
+                    if not moved or change <= _TOLERANCE:
                         converged = True
                         break
                 else:
-                    eps = max(eps * cfg.smoothing_decay, cfg.smoothing_floor)
+                    eps = max(eps * cfg.smoothing_decay, _SMOOTHING_FLOOR)
                     level_steps = 0
         traces.append(trace)
         total_iters += iters
@@ -567,18 +556,17 @@ def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     """
     if not isinstance(ens, RopEnsemble) or not ens.symmetric:
         raise ValueError("PhaseLift requires a symmetric ensemble")
-    stack, btilde = measure.debias(ens, b)
-    _, m, _ = op_shape(stack)
-    M = explicit_operator(stack)
+    plus, minus, btilde = measure.debias(ens, b)
+    M = explicit_operator(plus) - explicit_operator(minus)
 
     def l1_prox(s):
-        return np.sign(s) * np.maximum(np.abs(s) - 1.0 / cfg.admm_rho, 0.0)
+        return np.sign(s) * np.maximum(np.abs(s) - 1.0 / _ADMM_RHO, 0.0)
 
     def l1_residual(Z):
         return float(np.linalg.norm(M @ Z.ravel() - btilde, 1))
 
     Z, trace, iters, converged = _admm(
-        np.eye(m) / m, lambda V: spectahedron_project(0.5 * (V + V.T)),
+        np.eye(ens.m) / ens.m, lambda V: spectahedron_project(0.5 * (V + V.T)),
         [(M, M.T, btilde, l1_prox)], l1_residual, cfg)
     return RecoveryReport(
         estimate=Z, iterations_used=iters, final_objective=trace[-1],

@@ -35,6 +35,15 @@ def jacobi_eigenvalues(A, sweeps=60):
     return np.sort(np.diag(A))[::-1]
 
 
+def debiased_stack(betas):
+    """Debiased SROP matrices a_{2j} a_{2j}^T - a_{2j+1} a_{2j+1}^T as an explicit
+    (floor(L/2), m, m) stack; an odd final row is dropped."""
+    Lt = betas.shape[0] // 2
+    odd = betas[0:2 * Lt:2]
+    even = betas[1:2 * Lt:2]
+    return np.einsum("ji,jk->jik", odd, odd) - np.einsum("ji,jk->jik", even, even)
+
+
 def oracle_singular_values(X):
     """Singular values via Jacobi on the smaller Gram matrix."""
     X = np.asarray(X, dtype=float)

@@ -19,12 +19,14 @@ def test_single_trial_extrema_coincide():
 
 
 def test_isometric_stack():
-    # rows of the explicit operator are sqrt(L) times an orthonormal basis,
-    # so ||A(X)||_2^2 / L == ||X||_F^2 == 1 for every unit-norm test matrix
+    # A_j = sqrt(L) e_i e_k^T over every (i, k): rows of the explicit operator
+    # are sqrt(L) times an orthonormal basis, so ||A(X)||_2^2 / L ==
+    # ||X||_F^2 == 1 for every unit-norm test matrix
     m = n = 2
     L = m * n
-    stack = np.sqrt(L) * np.eye(L).reshape(L, m, n)
-    est = certify.estimate_rub(stack, 1, 2.0, trials=20)
+    ens = measure.RopEnsemble(betas=np.sqrt(L) * np.repeat(np.eye(m), n, axis=0),
+                              gammas=np.tile(np.eye(n), (m, 1)))
+    est = certify.estimate_rub(ens, 1, 2.0, trials=20)
     assert est.C1_hat == pytest.approx(1.0, abs=1e-10)
     assert est.C2_hat == pytest.approx(1.0, abs=1e-10)
 

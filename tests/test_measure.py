@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import debiased_stack
 from roprec import linalg, measure
 from roprec.measure import NoiseSpec, RopEnsemble
 
@@ -99,10 +100,17 @@ def test_adjoint_pairing_identity():
 # debias
 
 
+def _stack(plus, minus):
+    """The debiased map of (plus, minus) as an explicit (L, m, m) stack."""
+    M = measure.explicit_operator(plus) - measure.explicit_operator(minus)
+    return M.reshape(plus.L, plus.m, plus.n)
+
+
 def test_debias_pairs_measurements():
     ens = measure.sample_gaussian_rop(3, 3, 4, symmetric=True, seed=11)
     b = rng.standard_normal(4)
-    stack, btilde = measure.debias(ens, b)
+    plus, minus, btilde = measure.debias(ens, b)
+    stack = _stack(plus, minus)
     assert stack.shape == (2, 3, 3)
     A1 = np.outer(ens.betas[0], ens.betas[0])
     A2 = np.outer(ens.betas[1], ens.betas[1])
@@ -112,8 +120,8 @@ def test_debias_pairs_measurements():
 
 def test_debias_odd_length_drops_last():
     ens = measure.sample_gaussian_rop(3, 3, 5, symmetric=True, seed=11)
-    stack, btilde = measure.debias(ens, np.zeros(5))
-    assert stack.shape[0] == 2 and btilde.shape == (2,)
+    plus, minus, btilde = measure.debias(ens, np.zeros(5))
+    assert plus.L == minus.L == 2 and btilde.shape == (2,)
 
 
 def test_debias_identical_betas_cancel():
@@ -121,8 +129,8 @@ def test_debias_identical_betas_cancel():
     betas = np.stack([beta, beta])
     ens = RopEnsemble(betas=betas, gammas=betas, symmetric=True)
     z = np.array([0.3, -0.1])
-    stack, btilde = measure.debias(ens, z)  # pure-noise measurements
-    assert np.allclose(stack[0], 0.0, atol=1e-12)
+    plus, minus, btilde = measure.debias(ens, z)  # pure-noise measurements
+    assert np.allclose(_stack(plus, minus)[0], 0.0, atol=1e-12)
     assert btilde[0] == pytest.approx(z[0] - z[1])
 
 
@@ -138,12 +146,41 @@ def test_debias_consistency_and_contraction():
         S = rng.standard_normal((4, 4))
         X = 0.5 * (S + S.T)
         clean = measure.apply_map(ens, X)
-        stack, btilde = measure.debias(ens, clean)
-        assert np.allclose(btilde, measure.apply_map(stack, X), atol=1e-10)
+        plus, minus, btilde = measure.debias(ens, clean)
+        debiased = measure.apply_map(plus, X) - measure.apply_map(minus, X)
+        assert np.allclose(btilde, debiased, atol=1e-10)
         z = rng.standard_normal(8)
-        _, noisy_tilde = measure.debias(ens, clean + z)
-        lhs = np.linalg.norm(noisy_tilde - measure.apply_map(stack, X), 1)
+        _, _, noisy_tilde = measure.debias(ens, clean + z)
+        lhs = np.linalg.norm(noisy_tilde - debiased, 1)
         assert lhs <= np.linalg.norm(z, 1) + 1e-12
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_debias_halves_match_stack_formula(L):
+    ens = measure.sample_gaussian_rop(4, 4, L, symmetric=True, seed=L)
+    plus, minus, _ = measure.debias(ens, np.zeros(L))
+    assert np.array_equal(_stack(plus, minus), debiased_stack(ens.betas))
+
+
+def test_debias_adjoint_identity_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(m=st.integers(1, 6), L=st.integers(1, 15),
+                      seed=st.integers(0, 2**32 - 1))
+    def check(m, L, seed):
+        ens = measure.sample_gaussian_rop(m, m, L, symmetric=True, seed=seed)
+        draw = np.random.default_rng(seed)
+        X = draw.standard_normal((m, m))
+        plus, minus, _ = measure.debias(ens, np.zeros(L))
+        z = draw.standard_normal(L // 2)
+        lhs = (measure.apply_map(plus, X) - measure.apply_map(minus, X)) @ z
+        adj = measure.adjoint_map(plus, z) - measure.adjoint_map(minus, z)
+        rhs = linalg.frobenius_inner(X, adj)
+        assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
+
+    check()
 
 
 # ---------------------------------------------------------------------------
