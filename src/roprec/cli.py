@@ -1,26 +1,28 @@
 """Command-line front door.
 
 Subcommands: sample, measure, recover, certify, phase-transition,
-bound-check, lad-robustness, phaselift-demo.  Experiment subcommands read
-a key=value config file with flag overrides and emit CSV; exit code is 0
-on a completed run and 2, with a one-line message, on config, parse or
-file errors.
+bound-check, lad-robustness, phaselift-demo.  The experiment subcommands
+write CSV and take one flag per ``harness.ExperimentConfig`` field, spelt
+with ``_`` or ``-`` (grid fields take space- or comma-separated lists),
+plus ``--r``, ``--L`` and ``--eta1`` for one-element grids and
+``--noise-kind``/``--eta2`` for the noise set; unset values take the
+dataclass defaults.  ``--config FILE`` reads ``key = value`` lines as
+leading ``--key=value`` flags, so command-line flags win and an unknown
+key is an error.  Exit code is 0 on a completed run and 2, with a
+one-line message, on config, parse or file errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
-from . import certify, fileio, harness, measure, solvers
+from . import certify, fileio, harness, measure
 from .measure import NoiseSpec
 from .solvers import SolverConfig
-
-
-def _noise_spec(args) -> NoiseSpec:
-    return NoiseSpec(kind=args.noise_kind, q=args.q, eta1=args.eta1, eta2=args.eta2)
 
 
 def _cmd_sample(args) -> int:
@@ -33,7 +35,7 @@ def _cmd_sample(args) -> int:
 def _cmd_measure(args) -> int:
     ens = fileio.read_ensemble(args.ensemble)
     X = fileio.read_matrix(args.matrix)
-    spec = _noise_spec(args)
+    spec = NoiseSpec(kind=args.noise_kind, q=args.q, eta1=args.eta1, eta2=args.eta2)
     b = measure.apply_map(ens, X) + measure.generate_noise(spec, ens, args.seed)
     fileio.write_measurements(args.out, b)
     return 0
@@ -46,19 +48,11 @@ _CONSTRAINTS = {"eq": "none", "lq": "lq_bounded", "ds": "dantzig", "both": "inte
 def _cmd_recover(args) -> int:
     ens = fileio.read_ensemble(args.ensemble)
     b = fileio.read_measurements(args.measurements)
+    noise = NoiseSpec(kind=_CONSTRAINTS[args.constraint], q=args.q,
+                      eta1=args.eta1, eta2=args.eta2)
     cfg = SolverConfig(p=args.p, q=args.q, seed=args.seed,
                        max_iterations=args.max_iterations)
-    if args.method == "phaselift":
-        report = solvers.phaselift_lad(ens, b, cfg)
-    elif args.method == "least-q":
-        report = solvers.least_q_minimize(ens, b, cfg)
-    else:
-        noise = NoiseSpec(kind=_CONSTRAINTS[args.constraint], q=args.q,
-                          eta1=args.eta1, eta2=args.eta2)
-        if args.method == "nuclear":
-            report = solvers.nuclear_norm_baseline(ens, b, noise, cfg)
-        else:
-            report = solvers.schatten_p_minimize(ens, b, noise, cfg)
+    report = harness.recover(args.method, ens, b, noise, cfg)
     payload = {
         "method": report.method,
         "objective": report.final_objective,
@@ -109,55 +103,60 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _experiment_cfg(args, kind: str) -> harness.ExperimentConfig:
-    raw = fileio.read_config(args.config) if args.config else {}
+def _grid(text: str) -> tuple:
+    """Space- or comma-separated ints and floats."""
+    return tuple(float(t) if "." in t or "e" in t else int(t)
+                 for t in text.replace(",", " ").split())
 
-    def get(key, cast, default):
-        if getattr(args, key, None) is not None:
-            return getattr(args, key)
-        if key in raw:
-            return cast(raw[key])
-        return default
 
-    def tup(text):
-        return tuple(float(t) if "." in t or "e" in t else int(t)
-                     for t in text.replace(",", " ").split())
+def _one_int(text: str) -> tuple:
+    return (int(text),)
 
-    noise_kind = get("noise_kind", str, "none")
+
+class _Eta1(argparse.Action):
+    """--eta1 sets the noise set's eta1 and a one-element eta1_values grid."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.eta1, namespace.eta1_values = value, (value,)
+
+
+def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field but the noise set, which has its own."""
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        if field.name in ("kind", "noise"):
+            continue
+        if "tuple" in str(field.type):
+            cast = _grid
+        else:
+            cast = str if field.default is None else type(field.default)
+        names = dict.fromkeys([f"--{field.name.replace('_', '-')}", f"--{field.name}"])
+        required = field.name == "out"
+        p.add_argument(*names, dest=field.name, type=cast, required=required,
+                       help=None if required else f"default: {field.default}")
+    p.add_argument("--r", dest="ranks", type=_one_int, help="one-element ranks")
+    p.add_argument("--L", dest="Ls", type=_one_int, help="one-element Ls")
+    p.add_argument("--eta1", type=float, action=_Eta1,
+                   help="noise eta1 and one-element eta1_values")
+    p.add_argument("--eta2", type=float)
+    p.add_argument("--noise-kind", "--noise_kind", dest="noise_kind")
+    p.add_argument("--config", help="key = value lines, read as leading --key=value flags")
+
+
+def _experiment_cfg(args) -> harness.ExperimentConfig:
+    """The ExperimentConfig of the values given; its own defaults fill the rest."""
+    given = vars(args)
+    names = {field.name for field in dataclasses.fields(harness.ExperimentConfig)}
+    cfg = harness.ExperimentConfig(**{k: v for k, v in given.items() if k in names})
+    noise_kind = given.get("noise_kind", cfg.noise.kind)
     noise = NoiseSpec(kind=noise_kind,
-                      q=get("q", float, 1.0) if noise_kind in ("lq_bounded", "intersection") else None,
-                      eta1=get("eta1", float, None),
-                      eta2=get("eta2", float, None))
-    return harness.ExperimentConfig(
-        kind=kind,
-        m=get("m", int, 16), n=get("n", int, 16),
-        ranks=tup(raw["ranks"]) if "ranks" in raw else (get("r", int, 1),),
-        ratios=tup(raw["ratios"]) if "ratios" in raw else (1, 2, 3, 4, 5, 6),
-        Ls=tup(raw["Ls"]) if "Ls" in raw else (
-            (args.L,) if getattr(args, "L", None) else None),
-        trials=get("trials", int, 25),
-        threshold=get("threshold", float, 1e-3),
-        method=get("method", str, "nuclear"),
-        p=get("p", float, 1.0), q=get("q", float, 1.0),
-        noise=noise,
-        eta1_values=tup(raw["eta1_values"]) if "eta1_values" in raw else (
-            (args.eta1,) if getattr(args, "eta1", None) is not None else ()),
-        rub_trials=get("rub_trials", int, 200),
-        k=get("k", float, 10.0),
-        corrupt_fraction=get("corrupt_fraction", float, 0.05),
-        corrupt_scale=get("corrupt_scale", float, 10.0),
-        seed=get("seed", int, 0),
-        max_iterations=get("max_iterations", int, 600),
-        out=args.out)
+                      q=cfg.q if noise_kind in ("lq_bounded", "intersection") else None,
+                      eta1=given.get("eta1"), eta2=given.get("eta2"))
+    return dataclasses.replace(cfg, noise=noise)
 
 
-def _cmd_experiment(kind):
-    def run(args) -> int:
-        cfg = _experiment_cfg(args, kind)
-        harness.run_experiment(cfg)
-        return 0
-
-    return run
+def _cmd_experiment(args) -> int:
+    harness.run_experiment(_experiment_cfg(args))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="solve a recovery program")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--measurements", required=True)
-    p.add_argument("--method", default="schatten-p",
-                   choices=["schatten-p", "least-q", "phaselift", "nuclear"])
+    p.add_argument("--method", default="schatten-p", choices=harness.METHODS)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--constraint", default="eq", choices=sorted(_CONSTRAINTS))
@@ -220,36 +218,28 @@ def build_parser() -> argparse.ArgumentParser:
                        ("bound-check", "bound_check"),
                        ("lad-robustness", "lad_robustness"),
                        ("phaselift-demo", "phaselift_demo")]:
-        p = sub.add_parser(name, help=f"run a {name} experiment")
-        p.add_argument("--config", default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--method", default=None)
-        p.add_argument("--p", type=float, default=None)
-        p.add_argument("--q", type=float, default=None)
-        p.add_argument("--noise-kind", dest="noise_kind", default=None)
-        p.add_argument("--eta1", type=float, default=None)
-        p.add_argument("--eta2", type=float, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--rub-trials", dest="rub_trials", type=int, default=None)
-        p.add_argument("--corrupt-fraction", dest="corrupt_fraction", type=float, default=None)
-        p.add_argument("--corrupt-scale", dest="corrupt_scale", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-        p.add_argument("--out", required=True)
-        p.set_defaults(func=_cmd_experiment(kind))
+        p = sub.add_parser(name, help=f"run a {name} experiment", allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        _add_experiment_flags(p)
+        p.set_defaults(func=_cmd_experiment, kind=kind)
 
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; --config FILE's lines go in as leading --key=value flags."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if path:
+        argv[1:1] = [f"--{key}={value}" for key, value in fileio.read_config(path).items()]
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except (fileio.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ class ExperimentConfig:
     Ls: tuple | None = None  # overrides ratios when set
     trials: int = 25
     threshold: float = 1e-3
-    method: str = "nuclear"  # nuclear | schatten-p | least-q | phaselift
+    method: str = "nuclear"  # one of METHODS
     p: float = 1.0
     q: float = 1.0
     noise: NoiseSpec = dataclasses.field(default_factory=lambda: NoiseSpec(kind="none"))
@@ -100,17 +100,20 @@ def _solver_cfg(cfg: ExperimentConfig, seed: int) -> SolverConfig:
                         max_iterations=cfg.max_iterations)
 
 
-def _recover(cfg: ExperimentConfig, ens, b, seed: int):
-    scfg = _solver_cfg(cfg, seed)
-    if cfg.method == "nuclear":
-        return solvers.nuclear_norm_baseline(ens, b, cfg.noise, scfg)
-    if cfg.method == "schatten-p":
-        return solvers.schatten_p_minimize(ens, b, cfg.noise, scfg)
-    if cfg.method == "least-q":
+METHODS = ("schatten-p", "least-q", "phaselift", "nuclear")
+
+
+def recover(method: str, ens, b, noise: NoiseSpec, scfg: SolverConfig):
+    """Recover from ``b`` by ``method``; least-q and PhaseLift ignore ``noise``."""
+    if method == "nuclear":
+        return solvers.nuclear_norm_baseline(ens, b, noise, scfg)
+    if method == "schatten-p":
+        return solvers.schatten_p_minimize(ens, b, noise, scfg)
+    if method == "least-q":
         return solvers.least_q_minimize(ens, b, scfg)
-    if cfg.method == "phaselift":
+    if method == "phaselift":
         return solvers.phaselift_lad(ens, b, scfg)
-    raise ValueError(f"unknown method {cfg.method!r}")
+    raise ValueError(f"unknown method {method!r}")
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> list[CellResult]:
@@ -132,7 +135,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> list[CellResult]:
                 ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
                 b = apply_map(ens, X0) + measure.generate_noise(cfg.noise, ens, seed)
                 try:
-                    report = _recover(cfg, ens, b, seed)
+                    report = recover(cfg.method, ens, b, cfg.noise, _solver_cfg(cfg, seed))
                     err = np.linalg.norm(report.estimate - X0) / np.linalg.norm(X0)
                     iters.append(report.iterations_used)
                 except solvers.SolverError:

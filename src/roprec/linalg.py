@@ -23,6 +23,8 @@ import numpy as np
 
 # Singular values below RANK_TOL * sigma_max count as zero for rank purposes.
 RANK_TOL = 1e-10
+# Symmetry tolerance of spectahedron_project, relative to max(1, max |X|).
+_SYM_TOL = 1e-8
 
 
 class SvdError(RuntimeError):
@@ -134,7 +136,7 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def spectahedron_project(X, sym_tol: float = 1e-8) -> np.ndarray:
+def spectahedron_project(X) -> np.ndarray:
     """Nearest (Frobenius) PSD matrix with unit trace.
 
     Eigendecomposes the symmetric input, projects the eigenvalues onto
@@ -144,7 +146,7 @@ def spectahedron_project(X, sym_tol: float = 1e-8) -> np.ndarray:
     if X.shape[0] != X.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {X.shape}")
     scale = max(1.0, float(np.abs(X).max()))
-    if np.abs(X - X.T).max() > sym_tol * scale:
+    if np.abs(X - X.T).max() > _SYM_TOL * scale:
         raise ValueError("matrix is not symmetric")
     S = 0.5 * (X + X.T)
     w, Q = np.linalg.eigh(S)

@@ -23,6 +23,8 @@ from .linalg import singular_values
 # Philox substream labels, so measurement / noise / trial streams never collide.
 _STREAM_ENSEMBLE = 0
 _STREAM_NOISE = 1
+# Largest m*n for which explicit_operator builds the (L, m*n) matrix.
+_EXPLICIT_CAP = 4096
 
 
 class ResourceError(RuntimeError):
@@ -154,10 +156,11 @@ def debias(ens: RopEnsemble, b) -> tuple[RopEnsemble, RopEnsemble, np.ndarray]:
     return plus, minus, btilde
 
 
-def explicit_operator(op: RopEnsemble, cap: int = 4096) -> np.ndarray:
+def explicit_operator(op: RopEnsemble) -> np.ndarray:
     """(L, m*n) matrix whose row j is the row-major vectorization of A_j."""
-    if op.m * op.n > cap:
-        raise ResourceError(f"explicit operator for m*n={op.m * op.n} exceeds cap {cap}")
+    if op.m * op.n > _EXPLICIT_CAP:
+        raise ResourceError(
+            f"explicit operator for m*n={op.m * op.n} exceeds cap {_EXPLICIT_CAP}")
     return np.einsum("ji,jk->jik", op.betas, op.gammas).reshape(op.L, op.m * op.n)
 
 

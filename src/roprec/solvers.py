@@ -41,11 +41,16 @@ from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_op
 
 _STREAM_SOLVER = 7
 
-# Relative-change stopping tolerance, smoothing start and floor, ADMM
-# penalty, and the slack allowed when a result is checked against its set.
+# Relative-change stopping tolerance, smoothing start, per-level decay and
+# floor, restarts for nonconvex programs, grid size of the scalar prox
+# fallback, ADMM penalty, and the slack allowed when a result is checked
+# against its set.
 _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
+_SMOOTHING_DECAY = 0.7
 _SMOOTHING_FLOOR = 1e-10
+_RESTARTS = 3
+_PROX_GRID_POINTS = 4096
 _ADMM_RHO = 1.0
 _FEASIBILITY_TOL = 1e-6
 
@@ -55,17 +60,13 @@ class SolverConfig:
     p: float = 1.0
     q: float = 1.0
     max_iterations: int = 2000
-    smoothing_decay: float = 0.7
-    restarts: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.p <= 1) or not (0 < self.q <= 1):
             raise ValueError("p and q must lie in (0, 1]")
-        if not (0 < self.smoothing_decay < 1):
-            raise ValueError("smoothing_decay must lie in (0, 1)")
-        if self.max_iterations <= 0 or self.restarts < 1:
-            raise ValueError("solver configuration values must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclasses.dataclass
@@ -88,7 +89,7 @@ class SolverError(RuntimeError):
 # Scalar Schatten-p proximal machinery.
 
 
-def prox_power_scalar(s: float, lam: float, p: float, grid_points: int = 4096) -> float:
+def prox_power_scalar(s: float, lam: float, p: float) -> float:
     """argmin_z lam*|z|^p + (z - s)^2 / 2 for 0 < p <= 1.
 
     p = 1 is the soft threshold.  For p < 1 the nonzero candidate solves
@@ -124,7 +125,7 @@ def prox_power_scalar(s: float, lam: float, p: float, grid_points: int = 4096) -
             break
         z = z_new
     if not ok or not (zbar < z <= a):
-        grid = np.linspace(zbar, a, grid_points)
+        grid = np.linspace(zbar, a, _PROX_GRID_POINTS)
         vals = lam * grid**p + 0.5 * (grid - a) ** 2
         z = float(grid[np.argmin(vals)])
     if lam * z**p + 0.5 * (z - a) ** 2 >= 0.5 * a * a:
@@ -250,7 +251,7 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
         trace.append(_smoothed_schatten(X_new, eps, p))
         change = np.linalg.norm(X_new - X) / max(1.0, np.linalg.norm(X))
         X = X_new
-        eps = max(eps * cfg.smoothing_decay, _SMOOTHING_FLOOR)
+        eps = max(eps * _SMOOTHING_DECAY, _SMOOTHING_FLOOR)
         if change <= _TOLERANCE and eps <= max(_SMOOTHING_FLOOR, 1e-9) * 1.001:
             converged = True
             break
@@ -388,7 +389,7 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
         raise ValueError("measurement length does not match the map")
 
     # Convex case needs no restarts; nonconvex p gets them.
-    n_restarts = 1 if cfg.p == 1.0 else cfg.restarts
+    n_restarts = 1 if cfg.p == 1.0 else _RESTARTS
     best = None
     traces = []
     total_iters = 0
@@ -407,8 +408,8 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
             best = (X, obj)
     if best is None:
         raise SolverError(
-            f"no feasible point found within {cfg.max_iterations} iterations; "
-            "the constraint set may be empty for this eta")
+            f"no restart ended feasible: after {cfg.max_iterations} iterations the "
+            f"feasibility polish did not reach the {noise.kind} noise set")
     X, obj = best
     residual = b - apply_map(op, X)
     feasible, slacks = measure.check_feasible(noise, op, residual, tol=_FEASIBILITY_TOL)
@@ -475,11 +476,11 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     except measure.ResourceError:
         pass
     j = 0
-    while len(inits) < max(cfg.restarts, 1):
+    while len(inits) < _RESTARTS:
         g = measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
         inits.append(retract(g.standard_normal((m, n))))
         j += 1
-    inits = inits[:max(cfg.restarts, 1)]
+    inits = inits[:_RESTARTS]
 
     best = None
     traces = []
@@ -529,7 +530,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
                         converged = True
                         break
                 else:
-                    eps = max(eps * cfg.smoothing_decay, _SMOOTHING_FLOOR)
+                    eps = max(eps * _SMOOTHING_DECAY, _SMOOTHING_FLOOR)
                     level_steps = 0
         traces.append(trace)
         total_iters += iters

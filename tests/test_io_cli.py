@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import roprec
-from roprec import cli, fileio, linalg, measure
+from roprec import cli, fileio, harness, linalg, measure
+from roprec.harness import ExperimentConfig
 
 rng = np.random.default_rng(31)
 
@@ -174,6 +176,77 @@ def test_cli_config_file_driving(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("m,n,r,L,")
     assert len(lines) == 2
+
+
+EXPERIMENTS = [("phase-transition", "phase_transition"), ("bound-check", "bound_check"),
+               ("lad-robustness", "lad_robustness"), ("phaselift-demo", "phaselift_demo")]
+
+
+@pytest.fixture
+def run_configs(monkeypatch):
+    """The ExperimentConfigs that experiment subcommands would run."""
+    seen = []
+    monkeypatch.setattr(harness, "run_experiment", seen.append)
+    return seen
+
+
+@pytest.mark.parametrize("key, text, flags, field, expected", [
+    ("ranks", "2 3", ["--r", "4"], "ranks", (4,)),
+    ("Ls", "30,40", ["--L", "50"], "Ls", (50,)),
+    ("eta1_values", "0.01 0.02", ["--eta1", "0.05"], "eta1_values", (0.05,)),
+    ("r", "2", ["--ranks", "1,3"], "ranks", (1, 3)),
+    ("trials", "5", ["--trials", "2"], "trials", 2),
+], ids=["r", "L", "eta1", "ranks", "trials"])
+def test_cli_flag_beats_config_file(tmp_path, run_configs, key, text, flags, field, expected):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = {text}\n")
+    assert cli.main(["bound-check", "--config", str(cfg), *flags, "--out", "x.csv"]) == 0
+    assert getattr(run_configs[0], field) == expected
+
+
+def test_cli_config_keys_L_and_out(tmp_path, run_configs):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("L = 30\nmax-iterations = 7\nout = x.csv\n")
+    assert cli.main(["phase-transition", "--config", str(cfg)]) == 0
+    assert run_configs[0].Ls == (30,)
+    assert run_configs[0].max_iterations == 7
+    assert run_configs[0].out == "x.csv"
+
+
+@pytest.mark.parametrize("key", ["trails", "rank"])
+def test_cli_unknown_config_key_exits_2(tmp_path, run_configs, capsys, key):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{key} = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["phase-transition", "--config", str(cfg), "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert f"--{key}=5" in capsys.readouterr().err
+    assert run_configs == []
+
+
+@pytest.mark.parametrize("cmd, kind", EXPERIMENTS)
+def test_cli_experiment_defaults_are_the_dataclass_defaults(monkeypatch, run_configs, cmd,
+                                                            kind):
+    assert cli.main([cmd, "--out", "x.csv"]) == 0
+    assert run_configs.pop() == ExperimentConfig(kind=kind, out="x.csv")
+
+    @dataclasses.dataclass
+    class Shifted(ExperimentConfig):
+        trials: int = 3
+        max_iterations: int = 7
+
+    monkeypatch.setattr(harness, "ExperimentConfig", Shifted)
+    assert cli.main([cmd, "--out", "x.csv"]) == 0
+    assert run_configs.pop() == Shifted(kind=kind, out="x.csv")
+
+
+@pytest.mark.parametrize("cmd", ["sample", "measure", "recover", "certify",
+                                 *(cmd for cmd, _ in EXPERIMENTS)])
+def test_cli_help_exits_0(cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: roprec " + cmd)
 
 
 def test_cli_missing_input_file_exit_code(tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_explicit_operator_scalar_case():
 def test_explicit_operator_cap():
     ens = _random_ensemble(70, 70, 2)
     with pytest.raises(measure.ResourceError):
-        measure.explicit_operator(ens, cap=4096)
+        measure.explicit_operator(ens)
 
 
 # ---------------------------------------------------------------------------

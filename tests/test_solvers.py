@@ -92,7 +92,7 @@ def test_equality_zero_measurements_give_zero():
 
 def test_nonconvex_beats_truth_objective_2x2():
     ens, X0, b = _planted(2, 2, 1, 5, seed=3)
-    cfg = SolverConfig(p=0.5, max_iterations=300, restarts=3)
+    cfg = SolverConfig(p=0.5, max_iterations=300)
     report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
     truth_obj = linalg.schatten_norm(X0, 0.5) ** 0.5
     assert report.final_objective <= truth_obj + 1e-6
@@ -101,8 +101,7 @@ def test_nonconvex_beats_truth_objective_2x2():
 def test_irls_objective_trace_monotone():
     ens, X0, b = _planted(6, 6, 1, 60, seed=4)
     report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=0.7, max_iterations=200,
-                                                      restarts=1))
+                                         SolverConfig(p=0.7, max_iterations=200))
     for trace in report.objective_traces:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
@@ -141,7 +140,11 @@ def test_cone_constraint_on_solver_output():
     ("dantzig", 5, 60, 8, 1.0),
     ("intersection", 6, 80, 0, 1.0),
     ("intersection", 6, 80, 0, 0.5),
-], ids=["lq_bounded", "dantzig", "intersection", "intersection-nonconvex"])
+    # the feasibility polish does not reach the intersection on this instance
+    pytest.param("intersection", 6, 80, 3, 0.5,
+                 marks=pytest.mark.xfail(raises=solvers.SolverError, strict=True)),
+], ids=["lq_bounded", "dantzig", "intersection", "intersection-nonconvex",
+        "intersection-nonconvex-seed3"])
 def test_noisy_feasible_at_exit(kind, m, L, seed, p):
     ens, X0, b_clean = _planted(m, m, 1, L, seed=seed)
     # the solver's constraint set is the set the noise is drawn onto
@@ -239,7 +242,7 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(p=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(smoothing_decay=1.5)
+        SolverConfig(max_iterations=0)
 
 
 # ---------------------------------------------------------------------------
