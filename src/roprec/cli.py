@@ -9,7 +9,8 @@ plus ``--r``, ``--L`` and ``--eta1`` for one-element grids and
 dataclass defaults.  ``--config FILE`` reads ``key = value`` lines as
 leading ``--key=value`` flags, so command-line flags win and an unknown
 key is an error.  Exit code is 0 on a completed run and 2, with a
-one-line message, on config, parse or file errors.
+one-line message, on config, parse or file errors; a parse error names
+the config file when a line of it is at fault.
 """
 
 from __future__ import annotations
@@ -159,9 +160,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command-line error; ``parse_args`` prints it on one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="roprec",
-                                     description="Low-rank recovery from rank-one projections")
+    parser = _Parser(prog="roprec", description="Low-rank recovery from rank-one projections")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw a Gaussian ROP ensemble")
@@ -226,15 +235,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list):
+    """(namespace, None) when argv parses, else (None, argparse's message)."""
+    try:
+        return build_parser().parse_args(argv), None
+    except _UsageError as exc:
+        return None, str(exc)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse argv; --config FILE's lines go in as leading --key=value flags."""
+    """Parse argv; --config FILE's lines go in as leading --key=value flags.
+
+    A bad command line exits 2 with one ``error:`` line, which names the
+    config file when the flags from the file are at fault.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    config = _Parser(add_help=False, allow_abbrev=False)
     config.add_argument("--config")
-    path = config.parse_known_args(argv)[0].config
-    if path:
-        argv[1:1] = [f"--{key}={value}" for key, value in fileio.read_config(path).items()]
-    return build_parser().parse_args(argv)
+    try:
+        path = config.parse_known_args(argv)[0].config
+    except _UsageError as exc:
+        path, error = None, str(exc)
+    else:
+        config_lines = fileio.read_config(path).items() if path else ()
+        from_file = [f"--{key}={value}" for key, value in config_lines]
+        args, error = _parse(argv[:1] + from_file + argv[1:])
+        if error is None:
+            return args
+        if from_file and _parse(argv)[1] != error:
+            error = f"{path}: {error}"
+    print(f"error: {error}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,11 @@ module owns the algorithmic choices:
 * least-q on the Schatten-p sphere: smoothed gradient descent with
   backtracking and a radial retraction after every step;
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
-  Z step and an l1 soft threshold as its one residual block.
+  Z step and an l1 soft threshold as its one residual block;
+* the scalar prox of lam*|z|^p behind the Schatten-p prox and the lq-ball
+  projection, ``prox_power``, runs on whole arrays: the soft threshold at
+  p = 1, the half-thresholding closed form at p = 1/2, and Newton
+  iterations from |s| at any other p.
 
 Every operator is a ``measure.RopEnsemble``; PhaseLift's debiased map is
 the difference of two half-ensembles.  Both ADMM programs run one loop,
@@ -42,15 +46,13 @@ from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_op
 _STREAM_SOLVER = 7
 
 # Relative-change stopping tolerance, smoothing start, per-level decay and
-# floor, restarts for nonconvex programs, grid size of the scalar prox
-# fallback, ADMM penalty, and the slack allowed when a result is checked
-# against its set.
+# floor, restarts for nonconvex programs, ADMM penalty, and the slack
+# allowed when a result is checked against its set.
 _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
 _SMOOTHING_DECAY = 0.7
 _SMOOTHING_FLOOR = 1e-10
 _RESTARTS = 3
-_PROX_GRID_POINTS = 4096
 _ADMM_RHO = 1.0
 _FEASIBILITY_TOL = 1e-6
 
@@ -86,58 +88,52 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Scalar Schatten-p proximal machinery.
+# Schatten-p proximal machinery, elementwise on arrays.
 
 
-def prox_power_scalar(s: float, lam: float, p: float) -> float:
-    """argmin_z lam*|z|^p + (z - s)^2 / 2 for 0 < p <= 1.
+def prox_power(s, lam: float, p: float) -> np.ndarray:
+    """Elementwise argmin_z lam*|z|^p + (z - s)^2 / 2 for 0 < p <= 1.
 
-    p = 1 is the soft threshold.  For p < 1 the nonzero candidate solves
-    z - |s| + lam*p*z^(p-1) = 0 by safeguarded Newton started at |s|,
-    with a grid fallback, and is compared against z = 0.
+    p = 1 is the soft threshold.  For p < 1 the minimizer is 0 when |s| is
+    at most the jump threshold (2-p)/(2-2p) * (2 lam (1-p))^(1/(2-p)), and
+    otherwise the largest root of g(z) = z - |s| + lam*p*z^(p-1).  At
+    p = 1/2 that root is the half-thresholding closed form of Xu, Chang,
+    Xu & Zhang 2012 (their lambda is 2*lam: their objective has no 1/2).
+    Any other p runs Newton from z = |s|: g is increasing and convex
+    between its minimum and |s|, and g(|s|) > 0, so the iterates fall
+    monotonically onto the root.
     """
     if lam < 0 or not (0 < p <= 1):
         raise ValueError("need lam >= 0 and p in (0, 1]")
+    s = np.asarray(s, dtype=float)
     if lam == 0:
-        return s
-    sign, a = (1.0, s) if s >= 0 else (-1.0, -s)
+        return s.copy()
+    a = np.abs(s)
     if p == 1.0:
-        return sign * max(a - lam, 0.0)
-    if a == 0.0:
-        return 0.0
-    # Below this threshold on |s| the only minimizer is 0.
-    zbar = (lam * p * (1.0 - p)) ** (1.0 / (2.0 - p))
-    thresh = zbar + lam * p * zbar ** (p - 1.0)
-    if a <= thresh:
-        return 0.0
-    z = a
-    ok = False
-    for _ in range(100):
-        g = z - a + lam * p * z ** (p - 1.0)
-        dg = 1.0 + lam * p * (p - 1.0) * z ** (p - 2.0)
-        step = g / dg
-        z_new = z - step
-        if not (zbar < z_new <= a):
-            z_new = 0.5 * (z + max(zbar, min(z - 0.5 * step, a)))
-        if abs(z_new - z) <= 1e-14 * max(1.0, z):
-            z = z_new
-            ok = True
-            break
-        z = z_new
-    if not ok or not (zbar < z <= a):
-        grid = np.linspace(zbar, a, _PROX_GRID_POINTS)
-        vals = lam * grid**p + 0.5 * (grid - a) ** 2
-        z = float(grid[np.argmin(vals)])
-    if lam * z**p + 0.5 * (z - a) ** 2 >= 0.5 * a * a:
-        return 0.0
-    return sign * z
+        return np.sign(s) * np.maximum(a - lam, 0.0)
+    zstar = (2.0 * lam * (1.0 - p)) ** (1.0 / (2.0 - p))
+    keep = a > (2.0 - p) / (2.0 - 2.0 * p) * zstar
+    ak = a[keep]
+    if p == 0.5:
+        phi = np.arccos(0.25 * lam * (ak / 3.0) ** -1.5)
+        z = 2.0 / 3.0 * ak * (1.0 + np.cos(2.0 * np.pi / 3.0 - 2.0 / 3.0 * phi))
+    else:
+        z = ak.copy()
+        for _ in range(100):
+            step = ((z - ak + lam * p * z ** (p - 1.0))
+                    / (1.0 + lam * p * (p - 1.0) * z ** (p - 2.0)))
+            z -= step
+            if np.all(np.abs(step) <= 1e-14 * np.maximum(1.0, z)):
+                break
+    out = np.zeros_like(s)
+    out[keep] = np.sign(s[keep]) * z
+    return out
 
 
 def prox_schatten_p(X: np.ndarray, lam: float, p: float) -> np.ndarray:
     """Matrix proximal of lam*||.||_{S_p}^p: shrink each singular value."""
     dec = svd(X)
-    shrunk = np.array([prox_power_scalar(s, lam, p) for s in dec.sigma])
-    return (dec.U * shrunk) @ dec.V.T
+    return (dec.U * prox_power(dec.sigma, lam, p)) @ dec.V.T
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +165,22 @@ def project_lq_ball(v: np.ndarray, radius: float, q: float) -> np.ndarray:
     if np.sum(np.abs(v) ** q) <= target or radius == 0.0:
         return v.copy() if radius > 0 else np.zeros_like(v)
 
-    def shrink(lam):
-        return np.array([prox_power_scalar(x, lam, q) for x in v])
-
     lo, hi = 0.0, 1.0
-    while np.sum(np.abs(shrink(hi)) ** q) > target:
+    while np.sum(np.abs(prox_power(v, hi, q)) ** q) > target:
         hi *= 2.0
         if hi > 1e16:
             return np.zeros_like(v)
+    # lo stays infeasible and hi feasible; once the midpoint rounds onto
+    # either end every further step is a no-op.
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if np.sum(np.abs(shrink(mid)) ** q) > target:
+        if mid <= lo or mid >= hi:
+            break
+        if np.sum(np.abs(prox_power(v, mid, q)) ** q) > target:
             lo = mid
         else:
             hi = mid
-    return shrink(hi)
+    return prox_power(v, hi, q)
 
 
 def project_spectral_ball(Y: np.ndarray, radius: float) -> np.ndarray:

@@ -3,10 +3,58 @@
 Everything here deliberately avoids the library's own code paths (and
 numpy's SVD where the point is to check an SVD): eigenvalues come from a
 cyclic Jacobi iteration, projections from brute-force threshold scans,
-and small nonconvex minimizers from grid search with local refinement.
+small nonconvex minimizers from grid search with local refinement, and
+the scalar prox of lam*|z|^p from a per-coordinate Newton solve with a
+grid fallback.
 """
 
 import numpy as np
+
+_PROX_GRID_POINTS = 4096
+
+
+def prox_power_scalar(s: float, lam: float, p: float) -> float:
+    """argmin_z lam*|z|^p + (z - s)^2 / 2 for 0 < p <= 1.
+
+    p = 1 is the soft threshold.  For p < 1 the nonzero candidate solves
+    z - |s| + lam*p*z^(p-1) = 0 by safeguarded Newton started at |s|,
+    with a grid fallback, and is compared against z = 0.
+    """
+    if lam < 0 or not (0 < p <= 1):
+        raise ValueError("need lam >= 0 and p in (0, 1]")
+    if lam == 0:
+        return s
+    sign, a = (1.0, s) if s >= 0 else (-1.0, -s)
+    if p == 1.0:
+        return sign * max(a - lam, 0.0)
+    if a == 0.0:
+        return 0.0
+    # Below this threshold on |s| the only minimizer is 0.
+    zbar = (lam * p * (1.0 - p)) ** (1.0 / (2.0 - p))
+    thresh = zbar + lam * p * zbar ** (p - 1.0)
+    if a <= thresh:
+        return 0.0
+    z = a
+    ok = False
+    for _ in range(100):
+        g = z - a + lam * p * z ** (p - 1.0)
+        dg = 1.0 + lam * p * (p - 1.0) * z ** (p - 2.0)
+        step = g / dg
+        z_new = z - step
+        if not (zbar < z_new <= a):
+            z_new = 0.5 * (z + max(zbar, min(z - 0.5 * step, a)))
+        if abs(z_new - z) <= 1e-14 * max(1.0, z):
+            z = z_new
+            ok = True
+            break
+        z = z_new
+    if not ok or not (zbar < z <= a):
+        grid = np.linspace(zbar, a, _PROX_GRID_POINTS)
+        vals = lam * grid**p + 0.5 * (grid - a) ** 2
+        z = float(grid[np.argmin(vals)])
+    if lam * z**p + 0.5 * (z - a) ** 2 >= 0.5 * a * a:
+        return 0.0
+    return sign * z
 
 
 def jacobi_eigenvalues(A, sweeps=60):

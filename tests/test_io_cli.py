@@ -224,6 +224,32 @@ def test_cli_unknown_config_key_exits_2(tmp_path, run_configs, capsys, key):
     assert run_configs == []
 
 
+@pytest.mark.parametrize("text, flags, from_file, message", [
+    ("trails = 5\n", [], True, "unrecognized arguments: --trails=5"),
+    ("m = abc\n", [], True, "argument --m: invalid int value: 'abc'"),
+    ("m = 4\n", ["--m", "abc"], False, "argument --m: invalid int value: 'abc'"),
+    ("m = 4\n", ["--trails", "5"], False, "unrecognized arguments: --trails 5"),
+], ids=["file-key", "file-value", "flag-value", "flag-key"])
+def test_cli_parse_error_is_one_line(tmp_path, run_configs, capsys, text, flags, from_file,
+                                     message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bound-check", "--config", str(cfg), *flags, "--out", "x.csv"])
+    assert exc.value.code == 2
+    where = f"{cfg}: " if from_file else ""
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
+    assert run_configs == []
+
+
+def test_cli_parse_error_without_config_is_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sample", "--m", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "error: the following arguments are required: --n, --L, --out\n"
+
+
 @pytest.mark.parametrize("cmd, kind", EXPERIMENTS)
 def test_cli_experiment_defaults_are_the_dataclass_defaults(monkeypatch, run_configs, cmd,
                                                             kind):

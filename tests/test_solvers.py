@@ -9,6 +9,8 @@ from roprec import certify, linalg, measure, solvers
 from roprec.measure import NoiseSpec
 from roprec.solvers import SolverConfig
 
+from _oracles import prox_power_scalar
+
 rng = np.random.default_rng(77)
 
 
@@ -21,12 +23,12 @@ def _planted(m, n, r, L, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# scalar proximal machinery
+# proximal machinery
 
 
 def test_prox_p1_soft_threshold():
-    assert solvers.prox_power_scalar(3.0, 1.0, 1.0) == pytest.approx(2.0)
-    assert solvers.prox_power_scalar(-0.5, 1.0, 1.0) == 0.0
+    assert solvers.prox_power(3.0, 1.0, 1.0) == pytest.approx(2.0)
+    assert solvers.prox_power(-0.5, 1.0, 1.0) == 0.0
 
 
 def test_prox_matches_grid_search():
@@ -35,12 +37,79 @@ def test_prox_matches_grid_search():
         for _ in range(17):
             lam = g.uniform(0.05, 2.0)
             s = g.uniform(-4.0, 4.0)
-            z = solvers.prox_power_scalar(s, lam, p)
+            z = solvers.prox_power(s, lam, p)
             grid = np.linspace(-abs(s) - 1.0, abs(s) + 1.0, 10_000)
             vals = lam * np.abs(grid) ** p + 0.5 * (grid - s) ** 2
             best = grid[np.argmin(vals)]
             obj = lambda t: lam * abs(t) ** p + 0.5 * (t - s) ** 2
             assert obj(z) <= obj(best) + 1e-4
+
+
+def _jump_threshold(lam, p):
+    """|s| at which the prox jumps from 0; 0 and the nonzero root tie there."""
+    if p == 1.0:
+        return lam
+    return (2.0 - p) / (2.0 - 2.0 * p) * (2.0 * lam * (1.0 - p)) ** (1.0 / (2.0 - p))
+
+
+def test_prox_matches_scalar_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(p=st.sampled_from([0.5, 2.0 / 3.0, 0.9, 1.0]),
+                      lam=st.just(0.0) | st.floats(1e-6, 100.0),
+                      s=st.just(0.0) | st.floats(-1e3, 1e3),
+                      at_threshold=st.booleans(), negative=st.booleans())
+    def check(p, lam, s, at_threshold, negative):
+        if at_threshold:
+            s = -_jump_threshold(lam, p) if negative else _jump_threshold(lam, p)
+        z = solvers.prox_power(np.array([s]), lam, p)[0]
+        z_ref = prox_power_scalar(s, lam, p)
+        if p < 1.0 and lam > 0.0 and abs(abs(s) - _jump_threshold(lam, p)) <= \
+                1e-12 * abs(s):
+            # At the jump both 0 and the nonzero root are minimizers, and
+            # rounding picks one: both answers must reach the same minimum.
+            obj = lambda t: lam * abs(t) ** p + 0.5 * (t - s) ** 2
+            assert obj(z) == pytest.approx(obj(z_ref), rel=1e-12)
+            return
+        assert (z == 0.0) == (z_ref == 0.0)
+        assert abs(z - z_ref) <= 1e-12 * max(1.0, abs(s))
+
+    check()
+
+
+def _lq_ball_80_steps(v, radius, q, shrink):
+    """The lq-ball bisection as it ran before its early exit: all 80 steps."""
+    target = radius**q
+    lo, hi = 0.0, 1.0
+    while np.sum(np.abs(shrink(v, hi, q)) ** q) > target:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.abs(shrink(v, mid, q)) ** q) > target:
+            lo = mid
+        else:
+            hi = mid
+    return shrink(v, hi, q)
+
+
+def _oracle_shrink(v, lam, q):
+    return np.array([prox_power_scalar(x, lam, q) for x in v])
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lq_ball_projection_matches_scalar_bisection(q, seed):
+    g = np.random.default_rng(seed)
+    v = g.standard_normal(150) * g.uniform(0.01, 3.0)
+    radius = 0.2 * np.sum(np.abs(v) ** q) ** (1.0 / q)
+    w = solvers.project_lq_ball(v, radius, q)
+    assert np.array_equal(w, _lq_ball_80_steps(v, radius, q, solvers.prox_power))
+    w_ref = _lq_ball_80_steps(v, radius, q, _oracle_shrink)
+    assert np.array_equal(w == 0.0, w_ref == 0.0)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+    assert 0 < np.count_nonzero(w) < v.size
 
 
 def test_prox_schatten_soft_threshold_matrix():
