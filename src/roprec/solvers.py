@@ -3,9 +3,12 @@
 The programs themselves come with no prescribed algorithms, so this
 module owns the algorithmic choices:
 
-* equality-constrained Schatten-p minimization: matrix IRLS with weight
-  (X X^T + eps I)^{p/2-1} and geometric smoothing decay, the weighted
-  least-squares subproblem solved through the measurement Gram matrix;
+* equality-constrained Schatten-p minimization: when the map is
+  injective (L >= mn and rank mn) the feasible set is one point, the
+  minimizer for every p, found by one least-squares solve; otherwise
+  matrix IRLS with weight (X X^T + eps I)^{p/2-1} and geometric smoothing
+  decay, the weighted least-squares subproblem solved through the
+  measurement Gram matrix;
 * noisy constraint sets (the lq-bounded / Dantzig / intersection kinds
   of ``measure.NoiseSpec``, the same set the noise is drawn onto): ADMM
   with the Schatten-p proximal applied singular-value-wise and each
@@ -80,7 +83,9 @@ class RecoveryReport:
     converged: bool
     objective_traces: list  # one trace per restart
     method: str = ""
-    globally_optimal: bool = False  # only claimed for the convex p=q=1 programs
+    # claimed for the convex p=q=1 programs, and for the equality program at
+    # any p when the map is injective (its feasible set is one point)
+    globally_optimal: bool = False
 
 
 class SolverError(RuntimeError):
@@ -223,9 +228,17 @@ def _solve_psd(G, b):
     return lam
 
 
-def _smoothed_schatten(X, eps, p):
-    """tr((X X^T + eps I)^{p/2}), the IRLS surrogate objective."""
-    w = np.clip(np.linalg.eigvalsh(X @ X.T), 0.0, None)
+def _gram_eigh(X):
+    """Eigenpairs of X X^T, the eigenvalues clipped at 0."""
+    w, Q = np.linalg.eigh(X @ X.T)
+    return np.clip(w, 0.0, None), Q
+
+
+def _smoothed_schatten(w, eps, p):
+    """tr((X X^T + eps I)^{p/2}), the IRLS surrogate objective.
+
+    ``w`` holds the clipped eigenvalues of X X^T.
+    """
     return float(np.sum((w + eps) ** (p / 2.0)))
 
 
@@ -239,13 +252,15 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
     trace = []
     iters = 0
     converged = False
+    # one eigendecomposition per iterate: its eigenvalues give the trace
+    # entry, and the pair gives the next iteration's weight
+    w, Q = _gram_eigh(X)
     for it in range(cfg.max_iterations):
         iters = it + 1
-        w, Q = np.linalg.eigh(X @ X.T)
-        w = np.clip(w, 0.0, None)
         W_inv = (Q * (w + eps) ** (1.0 - p / 2.0)) @ Q.T
         X_new = solve(W_inv, b)
-        trace.append(_smoothed_schatten(X_new, eps, p))
+        w, Q = _gram_eigh(X_new)
+        trace.append(_smoothed_schatten(w, eps, p))
         change = np.linalg.norm(X_new - X) / max(1.0, np.linalg.norm(X))
         X = X_new
         eps = max(eps * _SMOOTHING_DECAY, _SMOOTHING_FLOOR)
@@ -373,36 +388,60 @@ def _restart_inits(op, b, cfg: SolverConfig, count: int):
     return inits[:count]
 
 
+def _unique_feasible_point(op, b):
+    """The one solution of A(X) = b when the map is injective, else None.
+
+    With L >= mn and rank mn the feasible set is a single point, the
+    minimizer for every p, so one least-squares solve stands in for IRLS.
+    If b is not in the range of A the point is the least-squares fit, and
+    the equality slack reports the miss.  A rank-deficient map (a
+    symmetric ensemble has rank at most m(m+1)/2) or one too large to
+    build explicitly gives None.
+    """
+    mn = op.m * op.n
+    if op.L < mn:
+        return None
+    try:
+        M = explicit_operator(op)
+    except measure.ResourceError:
+        return None
+    x, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+    return x.reshape(op.m, op.n) if rank == mn else None
+
+
 @_single_blas_thread()
 def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:
     """min ||X||_{S_p}^p subject to b - A(X) in B, the noise set of ``noise``.
 
-    Kind "none" (B = {0}) runs IRLS; the other kinds run ADMM.
-    Restarts rerun the chosen algorithm from perturbed seeds and keep the
-    best feasible objective.
+    Kind "none" (B = {0}) with an injective map is one least-squares
+    solve, reported as one iteration; otherwise it runs IRLS.  The other
+    kinds run ADMM.  Restarts rerun the chosen algorithm from perturbed
+    seeds and keep the best feasible objective.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.L,):
         raise ValueError("measurement length does not match the map")
 
-    # Convex case needs no restarts; nonconvex p gets them.
-    n_restarts = 1 if cfg.p == 1.0 else _RESTARTS
-    best = None
-    traces = []
-    total_iters = 0
-    any_converged = False
-    for X0 in _restart_inits(op, b, cfg, n_restarts):
-        if noise.kind == "none":
-            X, trace, iters, conv = _irls_equality(op, b, cfg.p, cfg, X0=X0)
-            feas_ok = True
-        else:
-            X, trace, iters, conv, feas_ok = _admm_noisy(op, b, noise, cfg, X0=X0)
-        traces.append(trace)
-        total_iters += iters
-        any_converged = any_converged or conv
-        obj = schatten_norm(X, cfg.p) ** cfg.p
-        if feas_ok and (best is None or obj < best[1]):
-            best = (X, obj)
+    unique = _unique_feasible_point(op, b) if noise.kind == "none" else None
+    if unique is not None:
+        obj = schatten_norm(unique, cfg.p) ** cfg.p
+        best, traces, total_iters, any_converged = (unique, obj), [[obj]], 1, True
+    else:
+        # Convex case needs no restarts; nonconvex p gets them.
+        n_restarts = 1 if cfg.p == 1.0 else _RESTARTS
+        best, traces, total_iters, any_converged = None, [], 0, False
+        for X0 in _restart_inits(op, b, cfg, n_restarts):
+            if noise.kind == "none":
+                X, trace, iters, conv = _irls_equality(op, b, cfg.p, cfg, X0=X0)
+                feas_ok = True
+            else:
+                X, trace, iters, conv, feas_ok = _admm_noisy(op, b, noise, cfg, X0=X0)
+            traces.append(trace)
+            total_iters += iters
+            any_converged = any_converged or conv
+            obj = schatten_norm(X, cfg.p) ** cfg.p
+            if feas_ok and (best is None or obj < best[1]):
+                best = (X, obj)
     if best is None:
         raise SolverError(
             f"no restart ended feasible: after {cfg.max_iterations} iterations the "
@@ -414,7 +453,7 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
         estimate=X, iterations_used=total_iters, final_objective=obj,
         constraint_slack=slacks, converged=any_converged and feasible,
         objective_traces=traces, method=f"schatten-p(p={cfg.p})",
-        globally_optimal=(cfg.p == 1.0 and noise.kind == "none"))
+        globally_optimal=(cfg.p == 1.0 and noise.kind == "none") or unique is not None)
 
 
 def nuclear_norm_baseline(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryReport:

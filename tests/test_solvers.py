@@ -168,12 +168,16 @@ def test_nonconvex_beats_truth_objective_2x2():
 
 
 def test_irls_objective_trace_monotone():
-    ens, X0, b = _planted(6, 6, 1, 60, seed=4)
-    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=0.7, max_iterations=200))
-    for trace in report.objective_traces:
-        diffs = np.diff(trace)
-        assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+    # L = 24 < mn runs IRLS with three restarts; L = 60 >= mn is injective,
+    # one solve with a one-entry trace
+    for L, restarts in ((24, 3), (60, 1)):
+        ens, X0, b = _planted(6, 6, 1, L, seed=4)
+        report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                             SolverConfig(p=0.7, max_iterations=200))
+        assert len(report.objective_traces) == restarts
+        for trace in report.objective_traces:
+            diffs = np.diff(trace)
+            assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
 def test_scaling_equivariance_equality():
@@ -235,6 +239,96 @@ def test_nuclear_baseline_agrees_with_p1():
     cfg1 = SolverConfig(p=1.0, max_iterations=300)
     c = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg1)
     assert a.final_objective == pytest.approx(c.final_objective, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# equality with an injective map: one least-squares solve
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("m, n, r, L, seed", [(5, 5, 1, 60, 9), (4, 6, 2, 30, 2)])
+def test_injective_solve_matches_irls(m, n, r, L, seed, p):
+    ens, X0, b = _planted(m, n, r, L, seed=seed)
+    cfg = SolverConfig(p=p, max_iterations=300)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+    X_irls, _, iters, converged = solvers._irls_equality(ens, b, p, cfg)
+    assert report.iterations_used == 1 and iters > 1 and converged
+    assert report.converged and report.globally_optimal
+    assert report.objective_traces == [[report.final_objective]]
+    rel = np.linalg.norm(report.estimate - X_irls) / np.linalg.norm(X_irls)
+    assert rel <= 1e-10
+
+
+def test_injective_solve_recovers_planted_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def instances(draw):
+        m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        L = draw(st.integers(m * n, m * n + 8))
+        r = draw(st.integers(1, min(m, n)))
+        return m, n, r, L, draw(st.integers(0, 2**32 - 1))
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(instance=instances(), p=st.sampled_from([1.0, 0.5]))
+    def check(instance, p):
+        ens, X0, b = _planted(*instance)
+        report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                             SolverConfig(p=p, max_iterations=50))
+        assert report.iterations_used == 1
+        residual = b - measure.apply_map(ens, report.estimate)
+        assert np.linalg.norm(residual) <= 1e-9 * np.linalg.norm(b)
+        assert np.linalg.norm(report.estimate - X0) <= 1e-8  # ||X0|| = 1
+
+    check()
+
+
+def test_symmetric_ensemble_at_large_L_still_runs_irls():
+    # a symmetric map has rank at most m(m+1)/2 = 10 < mn = 16 even at L = 30
+    m, L = 4, 30
+    ens = measure.sample_gaussian_rop(m, m, L, symmetric=True, seed=21)
+    assert np.linalg.matrix_rank(measure.explicit_operator(ens)) == 10
+    x = np.random.default_rng(22).standard_normal(m)
+    X0 = np.outer(x, x) / (x @ x)
+    b = measure.apply_map(ens, X0)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                         SolverConfig(p=1.0, max_iterations=300))
+    assert report.iterations_used > 1
+    assert np.linalg.norm(report.estimate - X0) <= 1e-8
+
+
+def test_injective_inconsistent_measurements_report_slack():
+    ens, _, b = _planted(5, 5, 1, 60, seed=9)
+    b = b + 0.01 * np.random.default_rng(0).standard_normal(60)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                         SolverConfig(p=1.0, max_iterations=300))
+    assert report.iterations_used == 1
+    assert not report.converged
+    assert report.constraint_slack["equality"] < -1e-3
+    x_ls = np.linalg.lstsq(measure.explicit_operator(ens), b, rcond=None)[0]
+    assert np.allclose(report.estimate.ravel(), x_ls, rtol=0, atol=1e-12)
+
+
+def test_injective_check_falls_back_to_irls_past_explicit_cap(monkeypatch):
+    def capped(op):
+        raise measure.ResourceError("explicit operator over the cap")
+
+    calls = []
+    irls = solvers._irls_equality
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return irls(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "explicit_operator", capped)
+    monkeypatch.setattr(solvers, "_irls_equality", spy)
+    ens, X0, b = _planted(5, 5, 1, 60, seed=9)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                         SolverConfig(p=1.0, max_iterations=300))
+    assert calls == [1]
+    assert report.iterations_used > 1
+    assert np.linalg.norm(report.estimate - X0) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +439,7 @@ def test_solver_runs_on_one_blas_thread_and_restores(blas_pools, monkeypatch, fa
         return result
 
     monkeypatch.setattr(solvers, "_irls_equality", spy)
-    ens, _, b = _planted(5, 5, 1, 60, seed=9)
+    ens, _, b = _planted(5, 5, 1, 20, seed=9)  # L < mn, so IRLS runs
     with pytest.raises(solvers.SolverError) if fail else contextlib.nullcontext():
         solvers.nuclear_norm_baseline(ens, b, NoiseSpec(kind="none"),
                                       SolverConfig(max_iterations=50))
@@ -385,20 +479,23 @@ def test_blas_pin_shared_by_concurrent_calls(blas_pools, monkeypatch):
 
 
 def test_solver_result_unchanged_without_openblas(monkeypatch):
-    ens, _, b = _planted(5, 5, 1, 60, seed=9)
-    cfg = SolverConfig(p=0.5, max_iterations=100)
-    pinned = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
-    # With no library found the pin does nothing; one thread is set by hand
-    # so that the two runs do the same arithmetic.
-    pools = linalg._openblas_pools()
-    before = [get() for get, _ in pools]
-    monkeypatch.setattr(linalg, "_openblas_pools", lambda: ())
-    try:
-        for _, put in pools:
-            put(1)
-        bare = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
-    finally:
-        for (_, put), count in zip(pools, before):
-            put(count)
-    assert np.array_equal(bare.estimate, pinned.estimate)
-    assert bare.objective_traces == pinned.objective_traces
+    # L = 20 < mn runs IRLS; L = 60 >= mn is the one least-squares solve
+    for L in (20, 60):
+        ens, _, b = _planted(5, 5, 1, L, seed=9)
+        cfg = SolverConfig(p=0.5, max_iterations=100)
+        pinned = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+        # With no library found the pin does nothing; one thread is set by
+        # hand so that the two runs do the same arithmetic.
+        pools = linalg._openblas_pools()
+        before = [get() for get, _ in pools]
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_openblas_pools", lambda: ())
+            try:
+                for _, put in pools:
+                    put(1)
+                bare = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+            finally:
+                for (_, put), count in zip(pools, before):
+                    put(count)
+        assert np.array_equal(bare.estimate, pinned.estimate)
+        assert bare.objective_traces == pinned.objective_traces
