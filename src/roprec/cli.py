@@ -1,16 +1,18 @@
 """Command-line front door.
 
-Subcommands: sample, measure, recover, certify, phase-transition,
-bound-check, lad-robustness, phaselift-demo.  The experiment subcommands
-write CSV and take one flag per ``harness.ExperimentConfig`` field, spelt
-with ``_`` or ``-`` (grid fields take space- or comma-separated lists),
-plus ``--r``, ``--L`` and ``--eta1`` for one-element grids and
-``--noise-kind``/``--eta2`` for the noise set; unset values take the
-dataclass defaults.  ``--config FILE`` reads ``key = value`` lines as
-leading ``--key=value`` flags, so command-line flags win and an unknown
-key is an error.  Exit code is 0 on a completed run and 2, with a
-one-line message, on config, parse or file errors; a parse error names
-the config file when a line of it is at fault.
+Subcommands: sample, measure, recover, certify, and one experiment
+subcommand per ``harness.KINDS`` entry (the kind spelt with ``-``).  The
+experiment subcommands write CSV and take one flag per
+``harness.ExperimentConfig`` field, spelt with ``_`` or ``-`` (grid fields
+take space- or comma-separated lists), plus ``--r``, ``--L`` and
+``--eta1`` for one-element grids and ``--noise-kind``/``--eta2`` for the
+noise set; unset values take the dataclass defaults.  ``--config FILE``
+reads ``key = value`` lines as leading ``--key=value`` flags, so
+command-line flags win and an unknown key is an error.  Exit code is 0 on
+a completed run; 2, with a one-line ``error:`` message, on config, parse
+or file errors and on a grid an experiment cannot run (a parse error
+names the config file when a line of it is at fault); and 3, with one
+``ClassName: message`` line, when a solve or size is beyond roprec.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import certify, fileio, harness, measure
+from . import certify, fileio, harness, linalg, measure, solvers
 from .measure import NoiseSpec
 from .solvers import SolverConfig
 
@@ -223,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_certify)
 
-    for name, kind in [("phase-transition", "phase_transition"),
-                       ("bound-check", "bound_check"),
-                       ("lad-robustness", "lad_robustness"),
-                       ("phaselift-demo", "phaselift_demo")]:
+    for kind in harness.KINDS:
+        name = kind.replace("_", "-")
         p = sub.add_parser(name, help=f"run a {name} experiment", allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
         _add_experiment_flags(p)
@@ -268,6 +268,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     raise SystemExit(2)
 
 
+# A solve or size roprec cannot handle; the line starts with the class name.
+_SOLVE_FAILURES = (solvers.SolverError, measure.ResourceError, linalg.SvdError,
+                   certify.ConditionViolated)
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(argv)
@@ -275,6 +280,9 @@ def main(argv=None) -> int:
     except (fileio.ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _SOLVE_FAILURES as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,12 +4,18 @@ Every trial is an isolated pure computation keyed by a seed derived from
 (master seed, cell index, trial index) with a splitmix64-style mixer, so
 sweeps are deterministic, trials are exchangeable under reordering, and
 each CSV row carries the seed needed to replay that single trial.
+
+``KINDS`` gives each experiment kind its CSV header, its cells (each with
+the index tuple that keys its trial seeds), a pure ``trial(cfg, cell, t,
+seed) -> row`` and, for the phase transition, a reduction of a cell's
+trials to one row; ``run_experiment`` is the one loop over them.  Kinds
+whose rows carry neither r nor L run one (r, L) cell and reject a wider grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -48,7 +54,7 @@ def plant_truth(m: int, n: int, r: int, seed: int, norm: str = "s2",
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    kind: str  # phase_transition | bound_check | lad_robustness | phaselift_demo
+    kind: str  # a key of KINDS
     m: int = 16
     n: int = 16
     ranks: tuple = (1,)
@@ -70,29 +76,26 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("phase_transition", "bound_check", "lad_robustness",
-                             "phaselift_demo"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1 or not self.ranks or not (self.ratios or self.Ls):
             raise ValueError("grids must be nonempty and trials >= 1")
 
 
-@dataclasses.dataclass
-class CellResult:
-    cell: tuple
-    successes: int
-    trials: int
-    mean_error: float
-    median_error: float
-    mean_iterations: float
-    wall_time: float
-    first_trial_seed: int
-
-
-def _cell_Ls(cfg: ExperimentConfig, r: int) -> list[int]:
+def _Ls(cfg: ExperimentConfig, r: int) -> list[int]:
     if cfg.Ls is not None:
         return [int(L) for L in cfg.Ls]
     return [int(ratio * r * (cfg.m + cfg.n)) for ratio in cfg.ratios]
+
+
+def _one_cell(cfg: ExperimentConfig, Ls: list[int]) -> tuple[int, int]:
+    """The (r, L) of a kind whose rows carry neither; a wider grid is a ValueError."""
+    for flag, grid, use in (("--ranks", cfg.ranks, "--r"),
+                            ("--Ls" if cfg.Ls is not None else "--ratios", Ls, "--L")):
+        if len(grid) != 1:
+            raise ValueError(f"{cfg.kind.replace('_', '-')} runs one (r, L) cell, but {flag} "
+                             f"gives {len(grid)} values; use {use}")
+    return cfg.ranks[0], Ls[0]
 
 
 def _solver_cfg(cfg: ExperimentConfig, seed: int) -> SolverConfig:
@@ -116,94 +119,64 @@ def recover(method: str, ens, b, noise: NoiseSpec, scfg: SolverConfig):
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_phase_transition(cfg: ExperimentConfig) -> list[CellResult]:
-    """Success-rate sweep over the (rank, L) grid with planted truths."""
-    results = []
-    norm = "sp" if cfg.method == "least-q" else "s2"
-    for ci, r in enumerate(cfg.ranks):
-        for li, L in enumerate(_cell_Ls(cfg, r)):
-            t0 = time.perf_counter()
-            errors, iters, successes = [], [], 0
-            first_seed = derive_seed(cfg.seed, ci, li, 0)
-            for t in range(cfg.trials):
-                seed = derive_seed(cfg.seed, ci, li, t)
-                X0 = plant_truth(cfg.m, cfg.n, r, seed, norm=norm, p=cfg.p)
-                if L < 1:
-                    errors.append(1.0)
-                    iters.append(0)
-                    continue
-                ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
-                b = apply_map(ens, X0) + measure.generate_noise(cfg.noise, ens, seed)
-                try:
-                    report = recover(cfg.method, ens, b, cfg.noise, _solver_cfg(cfg, seed))
-                    err = np.linalg.norm(report.estimate - X0) / np.linalg.norm(X0)
-                    iters.append(report.iterations_used)
-                except solvers.SolverError:
-                    err = np.inf
-                    iters.append(cfg.max_iterations)
-                errors.append(err)
-                if err <= cfg.threshold:
-                    successes += 1
-            errors = np.asarray(errors)
-            results.append(CellResult(
-                cell=(cfg.m, cfg.n, r, L), successes=successes, trials=cfg.trials,
-                mean_error=float(np.mean(np.minimum(errors, 1e6))),
-                median_error=float(np.median(errors)),
-                mean_iterations=float(np.mean(iters)) if iters else 0.0,
-                wall_time=time.perf_counter() - t0, first_trial_seed=first_seed))
-    return results
+def _relative_error(X: np.ndarray, X0: np.ndarray) -> float:
+    return float(np.linalg.norm(X - X0) / np.linalg.norm(X0))
 
 
-def phase_transition_rows(results: list[CellResult]):
-    header = ["m", "n", "r", "L", "successes", "trials", "success_rate",
-              "mean_error", "median_error", "mean_iterations", "trial_seed"]
-    rows = [[c.cell[0], c.cell[1], c.cell[2], c.cell[3], c.successes, c.trials,
-             float(c.successes / c.trials), c.mean_error, c.median_error,
-             c.mean_iterations, c.first_trial_seed] for c in results]
-    return header, rows
+def _phase_transition_trial(cfg: ExperimentConfig, cell, t: int, seed: int):
+    """(relative error, iterations, seed) of one planted recovery; L < 1 fails."""
+    r, L = cell
+    if L < 1:
+        return 1.0, 0, seed
+    X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="sp" if cfg.method == "least-q" else "s2",
+                     p=cfg.p)
+    ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
+    b = apply_map(ens, X0) + measure.generate_noise(cfg.noise, ens, seed)
+    try:
+        report = recover(cfg.method, ens, b, cfg.noise, _solver_cfg(cfg, seed))
+    except solvers.SolverError:
+        return np.inf, cfg.max_iterations, seed
+    return _relative_error(report.estimate, X0), report.iterations_used, seed
 
 
-def run_bound_check(cfg: ExperimentConfig):
-    """Compare observed recovery error against the theoretical bound per trial.
+def _phase_transition_row(cfg: ExperimentConfig, cell, trials: list) -> list:
+    """One row per (r, L) cell: success counts and error statistics of its trials."""
+    errors = np.array([err for err, _, _ in trials])
+    successes = int(np.sum(errors <= cfg.threshold))
+    return [cfg.m, cfg.n, *cell, successes, cfg.trials, successes / cfg.trials,
+            float(np.mean(np.minimum(errors, 1e6))), float(np.median(errors)),
+            float(np.mean([iters for _, iters, _ in trials])), trials[0][2]]
 
-    RUB constants are estimated on each drawn ensemble (inner estimates,
-    so the resulting certificates are optimistic); trials whose condition
-    check fails are recorded as not certified and excluded from the
-    violation statistic.
-    """
+
+def _bound_check_cells(cfg: ExperimentConfig):
     if not cfg.eta1_values:
-        raise ValueError("bound_check requires an eta1 sweep")
-    r = cfg.ranks[0]
-    L = _cell_Ls(cfg, r)[0]
-    order = int(round((cfg.k + 1) * r))
-    rows = []
-    for ei, eta1 in enumerate(cfg.eta1_values):
-        for t in range(cfg.trials):
-            seed = derive_seed(cfg.seed, ei, t)
-            ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
-            est = certify.estimate_rub(ens, order, cfg.q, cfg.rub_trials, seed=seed)
-            certified = certify.check_exact_condition(
-                est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q)
-            X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="s2")
-            noise_spec = NoiseSpec(kind="lq_bounded", q=cfg.q, eta1=float(eta1))
-            z = measure.generate_noise(noise_spec, ens, seed)
-            b = apply_map(ens, X0) + z
-            scfg = _solver_cfg(cfg, seed)
-            report = solvers.schatten_p_minimize(ens, b, noise_spec, scfg)
-            observed = float(np.linalg.norm(report.estimate - X0) ** cfg.q)
-            if certified:
-                bound = certify.stability_bound_schatten(
-                    est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q, L, r,
-                    ("lq", float(eta1)), tail_norm=0.0)
-                violated = observed > bound
-            else:
-                bound = float("nan")
-                violated = False
-            rows.append([float(eta1), t, int(certified), est.C1_hat, est.C2_hat,
-                         observed, bound, int(violated), seed])
-    header = ["eta1", "trial", "certified", "C1_hat", "C2_hat",
-              "observed_error_q", "bound", "violated", "trial_seed"]
-    return header, rows
+        raise ValueError("the bound check needs an eta1 sweep: set --eta1 or --eta1-values")
+    r, L = _one_cell(cfg, _Ls(cfg, cfg.ranks[0]))
+    return [((ei,), (r, L, float(eta1))) for ei, eta1 in enumerate(cfg.eta1_values)]
+
+
+def _bound_check_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
+    """Observed recovery error against the theoretical bound on one draw.
+
+    The bound uses RUB constants estimated on the draw (inner estimates, so
+    optimistic); a trial failing the condition check is not certified.
+    """
+    r, L, eta1 = cell
+    ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
+    est = certify.estimate_rub(ens, int(round((cfg.k + 1) * r)), cfg.q, cfg.rub_trials,
+                               seed=seed)
+    certified = certify.check_exact_condition(est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q)
+    X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="s2")
+    noise_spec = NoiseSpec(kind="lq_bounded", q=cfg.q, eta1=eta1)
+    b = apply_map(ens, X0) + measure.generate_noise(noise_spec, ens, seed)
+    report = solvers.schatten_p_minimize(ens, b, noise_spec, _solver_cfg(cfg, seed))
+    observed = float(np.linalg.norm(report.estimate - X0) ** cfg.q)
+    bound = float("nan")
+    if certified:
+        bound = certify.stability_bound_schatten(
+            est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q, L, r, ("lq", eta1), tail_norm=0.0)
+    return [eta1, t, int(certified), est.C1_hat, est.C2_hat, observed, bound,
+            int(certified and observed > bound), seed]
 
 
 def bound_check_violation_rate(rows) -> tuple[int, int]:
@@ -224,64 +197,81 @@ def _corrupt(b: np.ndarray, fraction: float, scale: float, seed: int) -> np.ndar
     return b
 
 
-def run_lad_robustness(cfg: ExperimentConfig):
-    """LAD (least-q, q=1) versus least-squares under sparse gross corruption."""
-    r = cfg.ranks[0]
-    L = _cell_Ls(cfg, r)[0]
-    rows = []
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, 0, t)
-        X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="sp", p=cfg.p)
-        ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
-        b = _corrupt(apply_map(ens, X0), cfg.corrupt_fraction, cfg.corrupt_scale, seed)
-        scfg = _solver_cfg(cfg, seed)
-        lad = solvers.least_q_minimize(ens, b, scfg)
-        err_lad = float(np.linalg.norm(lad.estimate - X0) / np.linalg.norm(X0))
-        M = explicit_operator(ens)
-        xls, *_ = np.linalg.lstsq(M, b, rcond=None)
-        err_ls = float(np.linalg.norm(xls.reshape(cfg.m, cfg.n) - X0) / np.linalg.norm(X0))
-        rows.append([t, cfg.corrupt_fraction, cfg.corrupt_scale, err_lad, err_ls, seed])
-    header = ["trial", "corrupt_fraction", "corrupt_scale", "lad_error",
-              "lsq_error", "trial_seed"]
-    return header, rows
+def _lad_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
+    """LAD (least-q, q=1) versus least squares under sparse gross corruption."""
+    r, L = cell
+    X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="sp", p=cfg.p)
+    ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
+    b = _corrupt(apply_map(ens, X0), cfg.corrupt_fraction, cfg.corrupt_scale, seed)
+    lad = solvers.least_q_minimize(ens, b, _solver_cfg(cfg, seed))
+    xls, *_ = np.linalg.lstsq(explicit_operator(ens), b, rcond=None)
+    return [t, cfg.corrupt_fraction, cfg.corrupt_scale, _relative_error(lad.estimate, X0),
+            _relative_error(xls.reshape(cfg.m, cfg.n), X0), seed]
 
 
-def run_phaselift_demo(cfg: ExperimentConfig):
-    """Symmetric rank-one recovery: leading-eigenvector cosine per trial."""
-    m = cfg.m
-    L = cfg.Ls[0] if cfg.Ls else 10 * m
-    rows = []
-    for t in range(cfg.trials):
-        seed = derive_seed(cfg.seed, 0, t)
-        rng = measure._substream(seed, _STREAM_TRUTH, 1)
-        x = rng.standard_normal(m)
-        x /= np.linalg.norm(x)
-        X0 = np.outer(x, x)
-        ens = sample_gaussian_rop(m, m, L, symmetric=True, seed=seed)
-        b = apply_map(ens, X0)
-        if cfg.corrupt_fraction > 0:
-            b = _corrupt(b, cfg.corrupt_fraction, cfg.corrupt_scale, seed)
-        scfg = _solver_cfg(cfg, seed)
-        report = solvers.phaselift_lad(ens, b, scfg)
-        w, Q = np.linalg.eigh(report.estimate)
-        cosine = float(abs(Q[:, -1] @ x))
-        err = float(np.linalg.norm(report.estimate - X0))
-        rows.append([t, L, cosine, err, int(report.converged), seed])
-    header = ["trial", "L", "leading_eig_cosine", "frobenius_error",
-              "converged", "trial_seed"]
-    return header, rows
+def _phaselift_cells(cfg: ExperimentConfig):
+    r, L = _one_cell(cfg, _Ls(cfg, 1) if cfg.Ls else [10 * cfg.m])
+    if r != 1:
+        raise ValueError(f"the PhaseLift demo recovers rank 1, but --ranks gives {r}; use --r 1")
+    return [((0,), L)]
+
+
+def _phaselift_trial(cfg: ExperimentConfig, L: int, t: int, seed: int) -> list:
+    """Symmetric rank-one recovery: the leading eigenvector's cosine with the truth."""
+    rng = measure._substream(seed, _STREAM_TRUTH, 1)
+    x = rng.standard_normal(cfg.m)
+    x /= np.linalg.norm(x)
+    X0 = np.outer(x, x)
+    ens = sample_gaussian_rop(cfg.m, cfg.m, L, symmetric=True, seed=seed)
+    b = _corrupt(apply_map(ens, X0), cfg.corrupt_fraction, cfg.corrupt_scale, seed)
+    report = solvers.phaselift_lad(ens, b, _solver_cfg(cfg, seed))
+    cosine = float(abs(np.linalg.eigh(report.estimate)[1][:, -1] @ x))
+    return [t, L, cosine, float(np.linalg.norm(report.estimate - X0)),
+            int(report.converged), seed]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Kind:
+    header: tuple
+    cells: Callable  # cfg -> [(index tuple, cell)]; the index keys the trial seeds
+    trial: Callable  # (cfg, cell, t, seed) -> row
+    reduce: Callable | None = None  # (cfg, cell, trial rows) -> the cell's one row
+
+
+KINDS = {
+    "phase_transition": _Kind(
+        ("m", "n", "r", "L", "successes", "trials", "success_rate", "mean_error",
+         "median_error", "mean_iterations", "trial_seed"),
+        lambda cfg: [((ci, li), (r, L)) for ci, r in enumerate(cfg.ranks)
+                     for li, L in enumerate(_Ls(cfg, r))],
+        _phase_transition_trial, _phase_transition_row),
+    "bound_check": _Kind(
+        ("eta1", "trial", "certified", "C1_hat", "C2_hat", "observed_error_q", "bound",
+         "violated", "trial_seed"),
+        _bound_check_cells, _bound_check_trial),
+    "lad_robustness": _Kind(
+        ("trial", "corrupt_fraction", "corrupt_scale", "lad_error", "lsq_error",
+         "trial_seed"),
+        lambda cfg: [((0,), _one_cell(cfg, _Ls(cfg, cfg.ranks[0])))], _lad_trial),
+    "phaselift_demo": _Kind(
+        ("trial", "L", "leading_eig_cosine", "frobenius_error", "converged", "trial_seed"),
+        _phaselift_cells, _phaselift_trial),
+}
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Dispatch on kind; writes CSV when cfg.out is set; returns (header, rows)."""
-    if cfg.kind == "phase_transition":
-        header, rows = phase_transition_rows(run_phase_transition(cfg))
-    elif cfg.kind == "bound_check":
-        header, rows = run_bound_check(cfg)
-    elif cfg.kind == "lad_robustness":
-        header, rows = run_lad_robustness(cfg)
-    else:
-        header, rows = run_phaselift_demo(cfg)
+    """Run every trial of every cell; writes CSV when cfg.out is set; returns (header, rows).
+
+    Trial t of the cell with index tuple ``index`` runs on
+    ``derive_seed(cfg.seed, *index, t)``.
+    """
+    kind = KINDS[cfg.kind]
+    rows = []
+    for index, cell in kind.cells(cfg):
+        trials = [kind.trial(cfg, cell, t, derive_seed(cfg.seed, *index, t))
+                  for t in range(cfg.trials)]
+        rows += [kind.reduce(cfg, cell, trials)] if kind.reduce else trials
+    header = list(kind.header)
     if cfg.out:
         fileio.write_csv(cfg.out, header, rows)
     return header, rows

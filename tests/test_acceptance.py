@@ -105,8 +105,8 @@ def test_criterion_03_convex_exact_recovery():
     cfg = ExperimentConfig(kind="phase_transition", m=20, n=20, ranks=(2,),
                            Ls=(480,), trials=25, method="nuclear",
                            seed=MASTER_SEED, max_iterations=200)
-    cell = harness.run_phase_transition(cfg)[0]
-    assert cell.successes / cell.trials >= 0.9
+    header, (row,) = harness.run_experiment(cfg)
+    assert row[header.index("success_rate")] >= 0.9
     assert time.perf_counter() - start < 300.0
 
 
@@ -117,8 +117,8 @@ def test_criterion_04_nonconvex_advantage():
         cfg = ExperimentConfig(kind="phase_transition", m=20, n=20, ranks=(2,),
                                Ls=(240,), trials=25, method=method, p=p,
                                seed=MASTER_SEED, max_iterations=200)
-        cell = harness.run_phase_transition(cfg)[0]
-        rates[method] = cell.successes / cell.trials
+        header, (row,) = harness.run_experiment(cfg)
+        rates[method] = row[header.index("success_rate")]
     assert rates["schatten-p"] >= rates["nuclear"]
     # At this desk scale the convex baseline already succeeds at ratio 3, so
     # also demonstrate the strict advantage just below its phase transition.
@@ -127,8 +127,8 @@ def test_criterion_04_nonconvex_advantage():
         cfg = ExperimentConfig(kind="phase_transition", m=20, n=20, ranks=(2,),
                                Ls=(200,), trials=25, method=method, p=p,
                                seed=MASTER_SEED, max_iterations=200)
-        cell = harness.run_phase_transition(cfg)[0]
-        strict[method] = cell.successes / cell.trials
+        header, (row,) = harness.run_experiment(cfg)
+        strict[method] = row[header.index("success_rate")]
     assert strict["nuclear"] < 0.5
     assert strict["schatten-p"] > strict["nuclear"]
 
@@ -138,8 +138,8 @@ def test_criterion_05_phase_transition_monotonicity():
     cfg = ExperimentConfig(kind="phase_transition", m=16, n=16, ranks=(1,),
                            ratios=(1, 2, 3, 4, 5, 6), trials=25,
                            method="nuclear", seed=MASTER_SEED, max_iterations=200)
-    cells = harness.run_phase_transition(cfg)
-    rates = [c.successes / c.trials for c in cells]
+    header, rows = harness.run_experiment(cfg)
+    rates = [row[header.index("success_rate")] for row in rows]
     inversions = [max(0.0, a - b) for a, b in zip(rates, rates[1:])]
     assert sum(1 for inv in inversions if inv > 0) <= 1
     assert all(inv <= 0.1 for inv in inversions)
@@ -152,7 +152,7 @@ def test_criterion_06_bound_verification():
                            trials=25, eta1_values=(0.01, 0.02, 0.05, 0.1),
                            rub_trials=200, k=10.0, seed=MASTER_SEED,
                            max_iterations=400)
-    header, rows = harness.run_bound_check(cfg)
+    header, rows = harness.run_experiment(cfg)
     violations, certified = harness.bound_check_violation_rate(rows)
     assert certified > 0
     assert violations <= 0.05 * certified
@@ -199,15 +199,15 @@ def test_criterion_08_phaselift_demo():
     cfg = ExperimentConfig(kind="phaselift_demo", m=16, Ls=(160,), trials=10,
                            corrupt_fraction=0.0, seed=MASTER_SEED,
                            max_iterations=800)
-    _, rows = harness.run_phaselift_demo(cfg)
-    good = sum(row[2] >= 0.999 for row in rows)
+    header, rows = harness.run_experiment(cfg)
+    good = sum(row[header.index("leading_eig_cosine")] >= 0.999 for row in rows)
     assert good >= 8
 
     cfg = ExperimentConfig(kind="phaselift_demo", m=16, Ls=(160,), trials=10,
                            corrupt_fraction=0.05, corrupt_scale=10.0,
                            seed=MASTER_SEED, max_iterations=800)
-    _, rows = harness.run_phaselift_demo(cfg)
-    good = sum(row[2] >= 0.999 for row in rows)
+    header, rows = harness.run_experiment(cfg)
+    good = sum(row[header.index("leading_eig_cosine")] >= 0.999 for row in rows)
     assert good >= 6
 
 
@@ -217,9 +217,9 @@ def test_criterion_09_lad_robustness():
                            Ls=(120,), trials=25, corrupt_fraction=0.05,
                            corrupt_scale=10.0, seed=MASTER_SEED,
                            max_iterations=1000)
-    _, rows = harness.run_lad_robustness(cfg)
-    lad = float(np.median([row[3] for row in rows]))
-    lsq = float(np.median([row[4] for row in rows]))
+    header, rows = harness.run_experiment(cfg)
+    lad = float(np.median([row[header.index("lad_error")] for row in rows]))
+    lsq = float(np.median([row[header.index("lsq_error")] for row in rows]))
     assert lad <= 0.5 * lsq
 
 

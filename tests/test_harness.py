@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,23 +27,23 @@ def test_plant_truth_rank_and_norms():
 def test_phase_transition_zero_L_never_succeeds():
     cfg = ExperimentConfig(kind="phase_transition", m=4, n=4, ranks=(1,),
                            Ls=(0,), trials=3, seed=1)
-    cells = harness.run_phase_transition(cfg)
-    assert cells[0].successes == 0
+    header, rows = harness.run_experiment(cfg)
+    assert rows[0][header.index("successes")] == 0
 
 
 def test_phase_transition_easy_cell_succeeds():
     cfg = ExperimentConfig(kind="phase_transition", m=5, n=5, ranks=(1,),
                            Ls=(60,), trials=3, method="nuclear", seed=2,
                            max_iterations=300)
-    cells = harness.run_phase_transition(cfg)
-    assert cells[0].successes == 3
-    assert 0 <= cells[0].successes <= cells[0].trials
+    header, (row,) = harness.run_experiment(cfg)
+    assert row[header.index("successes")] == 3
+    assert 0 <= row[header.index("successes")] <= row[header.index("trials")]
 
 
 def test_phase_transition_rows_carry_seed():
     cfg = ExperimentConfig(kind="phase_transition", m=4, n=4, ranks=(1,),
                            Ls=(0,), trials=2, seed=9)
-    header, rows = harness.phase_transition_rows(harness.run_phase_transition(cfg))
+    header, rows = harness.run_experiment(cfg)
     assert "trial_seed" in header
     assert rows[0][header.index("trial_seed")] == harness.derive_seed(9, 0, 0, 0)
 
@@ -61,7 +63,7 @@ def test_bound_check_columns_and_recomputation():
     cfg = ExperimentConfig(kind="bound_check", m=6, n=6, ranks=(1,), Ls=(80,),
                            trials=2, eta1_values=(0.01,), rub_trials=40,
                            k=5.0, seed=3, max_iterations=300)
-    header, rows = harness.run_bound_check(cfg)
+    header, rows = harness.run_experiment(cfg)
     assert header[:3] == ["eta1", "trial", "certified"]
     for row in rows:
         if row[header.index("certified")] == 1:
@@ -85,7 +87,7 @@ def test_lad_robustness_zero_corruption_parity():
     cfg = ExperimentConfig(kind="lad_robustness", m=4, n=4, ranks=(1,),
                            Ls=(40,), trials=3, corrupt_fraction=0.0,
                            seed=4, max_iterations=300)
-    header, rows = harness.run_lad_robustness(cfg)
+    header, rows = harness.run_experiment(cfg)
     lad = np.median([row[3] for row in rows])
     lsq = np.median([row[4] for row in rows])
     assert lad <= 2.0 * max(lsq, 1e-6) + 1e-6
@@ -111,7 +113,7 @@ def test_experiment_config_validation():
     cfg = ExperimentConfig(kind="bound_check", ranks=(1,), Ls=(50,), trials=1,
                            eta1_values=())
     with pytest.raises(ValueError):
-        harness.run_bound_check(cfg)
+        harness.run_experiment(cfg)
 
 
 def test_trial_exchangeability():
@@ -121,7 +123,33 @@ def test_trial_exchangeability():
                              Ls=(30,), trials=3, seed=8, max_iterations=200)
     cfg_b = ExperimentConfig(kind="phase_transition", m=4, n=4, ranks=(1,),
                              Ls=(30, 35), trials=3, seed=8, max_iterations=200)
-    a = harness.run_phase_transition(cfg_a)
-    b = harness.run_phase_transition(cfg_b)
-    assert a[0].successes == b[0].successes
-    assert a[0].median_error == b[0].median_error
+    header, a = harness.run_experiment(cfg_a)
+    _, b = harness.run_experiment(cfg_b)
+    for column in ("successes", "median_error"):
+        assert a[0][header.index(column)] == b[0][header.index(column)]
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("bound_check", dict(ranks=(1, 2), Ls=(30,))),
+    ("bound_check", dict(Ls=(30, 40))),
+    ("lad_robustness", dict(ranks=(1, 2), Ls=(30, 40))),
+    ("lad_robustness", dict()),  # six default ratios
+    ("phaselift_demo", dict(Ls=(30, 40))),
+    ("phaselift_demo", dict(ranks=(2,))),
+], ids=["bc-ranks", "bc-Ls", "lad-grid", "lad-ratios", "pl-Ls", "pl-rank"])
+def test_one_cell_kinds_reject_a_wider_grid(monkeypatch, kind, grid):
+    # rows of these kinds carry neither r nor L, so a second cell could not be told apart
+    monkeypatch.setitem(harness.KINDS, kind, dataclasses.replace(
+        harness.KINDS[kind], trial=lambda *args: pytest.fail("a trial ran")))
+    cfg = ExperimentConfig(kind=kind, m=4, n=4, trials=1, eta1_values=(0.01,), **grid)
+    with pytest.raises(ValueError, match="use --"):
+        harness.run_experiment(cfg)
+
+
+def test_one_cell_kinds_take_one_cell():
+    cells = {kind: harness.KINDS[kind].cells(ExperimentConfig(
+        kind=kind, m=4, n=4, ranks=(1,), ratios=(3,), eta1_values=(0.01, 0.02)))
+        for kind in ("bound_check", "lad_robustness", "phaselift_demo")}
+    assert cells["bound_check"] == [((0,), (1, 24, 0.01)), ((1,), (1, 24, 0.02))]
+    assert cells["lad_robustness"] == [((0,), (1, 24))]
+    assert cells["phaselift_demo"] == [((0,), 40)]  # 10 m when Ls is unset

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import roprec
-from roprec import cli, fileio, harness, linalg, measure
+from roprec import cli, fileio, harness, linalg, measure, solvers
 from roprec.harness import ExperimentConfig
 
 rng = np.random.default_rng(31)
@@ -178,8 +178,7 @@ def test_cli_config_file_driving(tmp_path):
     assert len(lines) == 2
 
 
-EXPERIMENTS = [("phase-transition", "phase_transition"), ("bound-check", "bound_check"),
-               ("lad-robustness", "lad_robustness"), ("phaselift-demo", "phaselift_demo")]
+EXPERIMENTS = [(kind.replace("_", "-"), kind) for kind in harness.KINDS]
 
 
 @pytest.fixture
@@ -281,6 +280,52 @@ def test_cli_missing_input_file_exit_code(tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 0 done, 2 bad input, 3 a solve or size beyond roprec
+
+
+def test_cli_recover_over_the_operator_cap_exits_3(tmp_path, capsys):
+    ens_path, b_path = tmp_path / "ens.txt", tmp_path / "b.txt"
+    assert cli.main(["sample", "--m", "70", "--n", "70", "--L", "20",
+                     "--out", str(ens_path)]) == 0
+    fileio.write_measurements(b_path, np.zeros(20))
+    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--constraint", "lq", "--eta1", "0.01",
+                     "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceError: ") and err.count("\n") == 1
+
+
+def test_cli_solver_error_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise solvers.SolverError("no feasible point found")
+
+    monkeypatch.setattr(harness, "recover", fail)
+    ens_path, b_path = tmp_path / "ens.txt", tmp_path / "b.txt"
+    assert cli.main(["sample", "--m", "3", "--n", "3", "--L", "5",
+                     "--out", str(ens_path)]) == 0
+    fileio.write_measurements(b_path, np.zeros(5))
+    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == "SolverError: no feasible point found\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["lad-robustness", "--ranks", "1,2", "--Ls", "30,40"], "--ranks"),
+    (["bound-check", "--Ls", "30,40", "--eta1", "0.01"], "--Ls"),
+    (["lad-robustness", "--r", "1"], "--ratios"),
+], ids=["lad-ranks-Ls", "bound-check-Ls", "lad-no-L"])
+def test_cli_grid_an_experiment_cannot_run_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert cli.main(argv + ["--m", "4", "--n", "4", "--trials", "1",
+                            "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"but {flag} gives" in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

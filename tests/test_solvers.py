@@ -141,22 +141,28 @@ def test_spectral_ball_projection():
 # Schatten-p minimization
 
 
+# The equality tests run each check on an injective instance (L >= mn: one
+# least-squares solve) and on one with L < mn, which runs IRLS.
+
+
 def test_equality_convex_recovers_planted_rank1():
-    ens, X0, b = _planted(8, 8, 1, 120, seed=1)
-    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=1.0, max_iterations=300))
-    err = np.linalg.norm(report.estimate - X0) / np.linalg.norm(X0)
-    assert err <= 1e-3
-    assert report.globally_optimal
+    for L in (120, 48):
+        ens, X0, b = _planted(8, 8, 1, L, seed=1)
+        report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                             SolverConfig(p=1.0, max_iterations=300))
+        err = np.linalg.norm(report.estimate - X0) / np.linalg.norm(X0)
+        assert err <= 1e-3
+        assert report.globally_optimal
 
 
 def test_equality_zero_measurements_give_zero():
-    ens = measure.sample_gaussian_rop(4, 4, 30, seed=2)
-    report = solvers.schatten_p_minimize(ens, np.zeros(30),
-                                         NoiseSpec(kind="none"),
-                                         SolverConfig(p=1.0, max_iterations=100))
-    assert np.allclose(report.estimate, 0.0, atol=1e-8)
-    assert report.final_objective == pytest.approx(0.0, abs=1e-8)
+    for L in (30, 12):
+        ens = measure.sample_gaussian_rop(4, 4, L, seed=2)
+        report = solvers.schatten_p_minimize(ens, np.zeros(L),
+                                             NoiseSpec(kind="none"),
+                                             SolverConfig(p=1.0, max_iterations=100))
+        assert np.allclose(report.estimate, 0.0, atol=1e-8)
+        assert report.final_objective == pytest.approx(0.0, abs=1e-8)
 
 
 def test_nonconvex_beats_truth_objective_2x2():
@@ -180,8 +186,8 @@ def test_irls_objective_trace_monotone():
             assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
-def test_scaling_equivariance_equality():
-    ens, X0, b = _planted(5, 5, 1, 50, seed=5)
+def _check_scaling_equivariance(L):
+    ens, X0, b = _planted(5, 5, 1, L, seed=5)
     cfg = SolverConfig(p=1.0, max_iterations=300)
     base = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
     scaled = solvers.schatten_p_minimize(ens, 3.0 * b, NoiseSpec(kind="none"), cfg)
@@ -190,22 +196,34 @@ def test_scaling_equivariance_equality():
     assert rel <= 1e-6
 
 
+def test_scaling_equivariance_equality():
+    _check_scaling_equivariance(50)
+
+
+# IRLS's smoothing eps decays to an absolute floor, so b and 3b end at
+# different relative smoothing: rel is 1.2e-5 here.
+@pytest.mark.xfail(raises=AssertionError, strict=True)
+def test_scaling_equivariance_equality_irls():
+    _check_scaling_equivariance(20)
+
+
 def test_cone_constraint_on_solver_output():
     # lemma hypothesis/conclusion pair checked on the actual solver residual
-    ens, X0, b = _planted(6, 6, 2, 90, seed=6)
-    p = 0.5
-    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=p, max_iterations=200))
-    if linalg.schatten_norm(report.estimate, p) ** p \
-            <= linalg.schatten_norm(X0, p) ** p + 1e-12:
-        R = report.estimate - X0
-        r = 2
-        Rs = linalg.rank_split(R, r)
-        Xs = linalg.rank_split(X0, r)
-        lhs = linalg.schatten_norm(Rs.tail, p) ** p
-        rhs = 2.0 * linalg.schatten_norm(Xs.tail, p) ** p \
-            + linalg.schatten_norm(Rs.head, p) ** p
-        assert lhs <= rhs + 1e-8
+    for L in (90, 30):
+        ens, X0, b = _planted(6, 6, 2, L, seed=6)
+        p = 0.5
+        report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                             SolverConfig(p=p, max_iterations=200))
+        if linalg.schatten_norm(report.estimate, p) ** p \
+                <= linalg.schatten_norm(X0, p) ** p + 1e-12:
+            R = report.estimate - X0
+            r = 2
+            Rs = linalg.rank_split(R, r)
+            Xs = linalg.rank_split(X0, r)
+            lhs = linalg.schatten_norm(Rs.tail, p) ** p
+            rhs = 2.0 * linalg.schatten_norm(Xs.tail, p) ** p \
+                + linalg.schatten_norm(Rs.head, p) ** p
+            assert lhs <= rhs + 1e-8
 
 
 @pytest.mark.parametrize("kind, m, L, seed, p", [
@@ -233,12 +251,13 @@ def test_noisy_feasible_at_exit(kind, m, L, seed, p):
 
 
 def test_nuclear_baseline_agrees_with_p1():
-    ens, X0, b = _planted(5, 5, 1, 60, seed=9)
-    cfg = SolverConfig(p=0.5, max_iterations=300)  # baseline must override p
-    a = solvers.nuclear_norm_baseline(ens, b, NoiseSpec(kind="none"), cfg)
-    cfg1 = SolverConfig(p=1.0, max_iterations=300)
-    c = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg1)
-    assert a.final_objective == pytest.approx(c.final_objective, abs=1e-5)
+    for L in (60, 20):
+        ens, X0, b = _planted(5, 5, 1, L, seed=9)
+        cfg = SolverConfig(p=0.5, max_iterations=300)  # baseline must override p
+        a = solvers.nuclear_norm_baseline(ens, b, NoiseSpec(kind="none"), cfg)
+        cfg1 = SolverConfig(p=1.0, max_iterations=300)
+        c = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg1)
+        assert a.final_objective == pytest.approx(c.final_objective, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
