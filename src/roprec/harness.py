@@ -21,7 +21,7 @@ import numpy as np
 
 from . import certify, fileio, measure, solvers
 from .linalg import schatten_norm
-from .measure import NoiseSpec, apply_map, explicit_operator, sample_gaussian_rop
+from .measure import NoiseSpec, apply_map, sample_gaussian_rop
 from .solvers import SolverConfig
 
 _STREAM_TRUTH = 11
@@ -204,9 +204,8 @@ def _lad_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
     ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
     b = _corrupt(apply_map(ens, X0), cfg.corrupt_fraction, cfg.corrupt_scale, seed)
     lad = solvers.least_q_minimize(ens, b, _solver_cfg(cfg, seed))
-    xls, *_ = np.linalg.lstsq(explicit_operator(ens), b, rcond=None)
     return [t, cfg.corrupt_fraction, cfg.corrupt_scale, _relative_error(lad.estimate, X0),
-            _relative_error(xls.reshape(cfg.m, cfg.n), X0), seed]
+            _relative_error(solvers.least_squares(ens, b), X0), seed]
 
 
 def _phaselift_cells(cfg: ExperimentConfig):

@@ -4,8 +4,9 @@ An ensemble stores the L vector pairs (beta_j, gamma_j); the measurement
 matrices A_j = beta_j gamma_j^T are never materialized by apply/adjoint,
 which run in O(L(m+n)) flops.  ``RopEnsemble`` is the only operator type:
 the debiased SROP map is the difference of two symmetric half-ensembles
-(see ``debias``).  The two bounded-noise models and an explicit vectorized
-operator for small-instance oracles live here too.
+(see ``debias``).  ``gram`` forms the L x L Gram <A_i, A_j> without any
+A_j.  The two bounded-noise models and the explicit (L, m*n) operator
+(for the injective-map check and as a test oracle) live here too.
 
 Randomness uses the Philox counter-based generator with a 64-bit seed and
 a per-measurement substream keyed by (seed, j), so ensembles reproduce
@@ -23,12 +24,14 @@ from .linalg import singular_values
 # Philox substream labels, so measurement / noise / trial streams never collide.
 _STREAM_ENSEMBLE = 0
 _STREAM_NOISE = 1
-# Largest m*n for which explicit_operator builds the (L, m*n) matrix.
+# Largest m*n of an explicit (L, m*n) operator, and largest measurement count
+# on either side of a Gram (4096^2 doubles are 128 MiB).
 _EXPLICIT_CAP = 4096
+_GRAM_CAP = 4096
 
 
 class ResourceError(RuntimeError):
-    """Raised when an explicit-operator request exceeds the size cap."""
+    """Raised when an explicit operator or a Gram would exceed its size cap."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,6 +165,20 @@ def explicit_operator(op: RopEnsemble) -> np.ndarray:
         raise ResourceError(
             f"explicit operator for m*n={op.m * op.n} exceeds cap {_EXPLICIT_CAP}")
     return np.einsum("ji,jk->jik", op.betas, op.gammas).reshape(op.L, op.m * op.n)
+
+
+def check_gram_size(L: int) -> None:
+    """Raise ResourceError before a Gram with a side L past the cap is allocated."""
+    if L > _GRAM_CAP:
+        raise ResourceError(f"Gram of L={L} measurements exceeds cap {_GRAM_CAP}")
+
+
+def gram(op: RopEnsemble, other: RopEnsemble | None = None) -> np.ndarray:
+    """(Cross) Gram <A_i, A'_j> = (B B'^T) o (G G'^T) of two maps (``other``
+    defaults to ``op``): M M'^T of their explicit operators, never formed."""
+    other = op if other is None else other
+    check_gram_size(max(op.L, other.L))
+    return (op.betas @ other.betas.T) * (op.gammas @ other.gammas.T)
 
 
 def lq_norm(z, q: float) -> float:

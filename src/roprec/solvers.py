@@ -18,16 +18,16 @@ module owns the algorithmic choices:
   backtracking and a radial retraction after every step;
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
   Z step and an l1 soft threshold as its one residual block;
-* the scalar prox of lam*|z|^p behind the Schatten-p prox and the lq-ball
-  projection, ``prox_power``, runs on whole arrays: the soft threshold at
-  p = 1, the half-thresholding closed form at p = 1/2, and Newton
-  iterations from |s| at any other p.
+* ``prox_power``, the scalar prox of lam*|z|^p on whole arrays: the soft
+  threshold at p = 1, the half-thresholding closed form at p = 1/2, and
+  Newton iterations from |s| at any other p.
 
-Every operator is a ``measure.RopEnsemble``; PhaseLift's debiased map is
-the difference of two half-ensembles.  Both ADMM programs run one loop,
-``_admm``, on the explicit vectorized operator: an x-update through a
-single Cholesky factor, then one proximal step for Z and one per residual
-block (Boyd et al. 2011).
+Every operator is a ``measure.RopEnsemble`` (PhaseLift's debiased map is
+the difference of two).  ADMM and least-q see a map through apply/adjoint
+and one eigendecomposition of its L x L Gram K = A A* (``_GramMap``):
+that gives least squares, A^+ d = A*(K^+ d), and the ADMM x-update by the
+matrix-inversion lemma (Boyd et al. 2011, 4.2.4); no mn x mn matrix is
+formed.  Only the injective-map check builds the explicit operator.
 
 Nonconvexity is handled by seeded restarts; reports keep every
 per-restart objective trace and distinguish "converged" from any claim
@@ -44,7 +44,7 @@ import scipy.linalg
 from . import measure
 from .linalg import (_single_blas_thread, schatten_norm, simplex_project,
                      spectahedron_project, svd)
-from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map, explicit_operator
+from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map
 
 _STREAM_SOLVER = 7
 
@@ -203,8 +203,9 @@ def _wls_solver(op: RopEnsemble):
 
     The minimizer is X = W^{-1} A*(lambda) with the Gram system
     G lambda = b, G_ij = <A_i, W^{-1} A_j>.  For rank-one ensembles the
-    Gram is a Hadamard product of two L x L Grams.
+    Gram is a Hadamard product of two L x L Grams, size-checked first.
     """
+    measure.check_gram_size(op.L)
     gram_gamma = op.gammas @ op.gammas.T
 
     def solve(W_inv, b):
@@ -271,102 +272,109 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
 
 
 # ---------------------------------------------------------------------------
-# ADMM on the explicit vectorized operator.
+# A map through its Gram, and ADMM on it.
 
 
-def _admm(X0, prox_z, blocks, objective, cfg: SolverConfig):
+class _GramMap:
+    """The map A of ``op``, or with ``minus`` the debiased map op - minus, by
+    apply/adjoint and the eigenpairs (lam, Q) of its Gram K = A A* above
+    L * eps * max(lam).  With A = Q S V^T, lam = S^2."""
+
+    def __init__(self, op: RopEnsemble, minus: RopEnsemble | None = None):
+        terms = [(1.0, op)] + ([(-1.0, minus)] if minus is not None else [])
+        self.apply = lambda X: sum(s * apply_map(o, X) for s, o in terms)
+        self.adjoint = lambda z: sum(s * adjoint_map(o, z) for s, o in terms)
+        K = sum(si * sj * measure.gram(oi, oj) for si, oi in terms for sj, oj in terms)
+        lam, Q = np.linalg.eigh(K)
+        keep = lam > K.shape[0] * np.finfo(float).eps * lam.max(initial=0.0)
+        self.lam, self.Q = lam[keep], Q[:, keep]
+
+    def solve(self, d, power: int = 1):
+        """A* (K^+)^power d: A^+ d at power 1, and (A* A)^+ Y at power 2 for d = A(Y)."""
+        return self.adjoint(self.Q @ ((self.Q.T @ d) / self.lam ** power))
+
+    def pinv(self, d):
+        """A^+ d (minimum-norm least squares), refined once: K squares A's condition."""
+        X = self.solve(d)
+        return X + self.solve(d - self.apply(X))
+
+    def solve_shifted(self, R, phi):
+        """(I + A* Phi A)^{-1} R = R - A* Phi (I + K Phi)^{-1} A(R), where
+        Phi = phi(K) is given by its values at lam (matrix-inversion lemma)."""
+        psi = phi / (1.0 + self.lam * phi)
+        return R - self.adjoint(self.Q @ (psi * (self.Q.T @ self.apply(R))))
+
+
+def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
     """Scaled-form ADMM splitting the variable x into Z and residual blocks.
 
-    ``prox_z`` maps the matrix x + u to the next Z.  Each block
-    (K, Kt, c, prox) enforces c - K x in a set (or penalizes it): ``prox``
-    maps c - K x + v to the block variable w, and Kt is the adjoint of K,
-    passed in so that a symmetric K multiplies as itself.  The x-update
-    solves (I + sum Kt K) x = (Z - u) + sum Kt (c - w + v) with one
-    Cholesky factor.  Returns (Z, objective trace, iterations, converged).
+    ``prox_z`` maps x + u to the next Z.  A block (dantzig, prox) holds the
+    residual c - B x, with B = A and c = b for an lq/l1 block and B = A* A,
+    c = A*(b) for a Dantzig block, in a set (or penalizes it): ``prox`` maps
+    it plus its scaled dual v to w.  The x-update's system I + sum B^T B is
+    I + A* Phi A, Phi = I per lq/l1 block plus the Gram A A* per Dantzig
+    block.  Returns (Z, objective trace, iterations, converged).
     """
-    x = X0.ravel()
-    H = np.eye(x.size)
-    for K, Kt, _, _ in blocks:
-        H += Kt @ K
-    chol = scipy.linalg.cho_factor(H, check_finite=False)
+    phi = sum(A.lam if dantzig else 1.0 for dantzig, _ in blocks)
 
-    Z = X0
-    u = np.zeros(x.size)
-    ws = [c - K @ x for K, _, c, _ in blocks]
-    vs = [np.zeros(c.size) for _, _, c, _ in blocks]
-    trace = []
-    iters = 0
-    converged = False
+    def residuals(x):
+        r = b - A.apply(x)
+        return [A.adjoint(r) if dantzig else r for dantzig, _ in blocks]
+
+    cs, ws = residuals(np.zeros_like(X0)), residuals(X0)
+    Z, u = X0, np.zeros_like(X0)
+    vs = [np.zeros_like(w) for w in ws]
+    trace, iters, converged = [], 0, False
     for it in range(cfg.max_iterations):
         iters = it + 1
-        rhs = Z.ravel() - u
-        for (_, Kt, c, _), w, v in zip(blocks, ws, vs):
-            rhs = rhs + Kt @ (c - w + v)
-        x = scipy.linalg.cho_solve(chol, rhs, check_finite=False)
+        y = sum(A.apply(c - w + v) if dantzig else c - w + v
+                for (dantzig, _), c, w, v in zip(blocks, cs, ws, vs))
+        x = A.solve_shifted(Z - u + A.adjoint(y), phi)
         Z_prev = Z
-        Z = prox_z((x + u).reshape(X0.shape))
-        for k, (K, _, c, prox) in enumerate(blocks):
-            Kx = K @ x
-            ws[k] = prox(c - Kx + vs[k])
-            vs[k] += c - Kx - ws[k]
-        u += x - Z.ravel()
+        Z = prox_z(x + u)
+        for k, ((_, prox), s) in enumerate(zip(blocks, residuals(x))):
+            ws[k] = prox(s + vs[k])
+            vs[k] += s - ws[k]
+        u += x - Z
         trace.append(objective(Z))
-        prim = np.linalg.norm(x - Z.ravel())
-        dual = np.linalg.norm(Z - Z_prev)
-        scale = max(1.0, np.linalg.norm(x))
-        if prim <= _TOLERANCE * scale and dual <= _TOLERANCE * scale and it > 10:
+        tol = _TOLERANCE * max(1.0, np.linalg.norm(x))  # on the primal and dual residuals
+        if np.linalg.norm(x - Z) <= tol and np.linalg.norm(Z - Z_prev) <= tol and it > 10:
             converged = True
             break
     return Z, trace, iters, converged
 
 
-def _admm_noisy(op, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
+def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
     """Schatten-p minimization over a noise set, then a feasibility polish."""
-    L, m, n = op.L, op.m, op.n
-    M = explicit_operator(op)
     blocks = []
-    G = None
     if noise.kind in ("lq_bounded", "intersection"):
-        radius = L * noise.eta1
-        blocks.append((M, M.T, b, lambda s: project_lq_ball(s, radius, noise.q)))
+        blocks.append((False, lambda s: project_lq_ball(s, op.L * noise.eta1, noise.q)))
     if noise.kind in ("dantzig", "intersection"):
-        G = M.T @ M  # the Dantzig residual A*(b - A(X)) is M^T b - G x
-        blocks.append((G, G, M.T @ b, lambda s: project_spectral_ball(
-            s.reshape(m, n), noise.eta2).ravel()))
-    X0 = (np.asarray(X0, dtype=float) if X0 is not None
-          else np.linalg.lstsq(M, b, rcond=None)[0].reshape(m, n))
+        blocks.append((True, lambda S: project_spectral_ball(S, noise.eta2)))
+    X0 = np.asarray(X0, dtype=float) if X0 is not None else A.pinv(b)
     X, trace, iters, converged = _admm(
-        X0, lambda V: prox_schatten_p(V, 1.0 / _ADMM_RHO, cfg.p), blocks,
+        X0, A, b, lambda V: prox_schatten_p(V, 1.0 / _ADMM_RHO, cfg.p), blocks,
         lambda Z: schatten_norm(Z, cfg.p) ** cfg.p, cfg)
-    X, feas_ok = _feasibility_polish(op, M, G, b, X, noise)
+    X, feas_ok = _feasibility_polish(op, A, b, X, noise)
     return X, trace, iters, converged and feas_ok, feas_ok
 
 
-def _feasibility_polish(op, M, G, b, X, noise: NoiseSpec):
-    """Minimum-norm correction moving the residual into the feasible set.
-
-    ``G`` is the Gram M^T M, needed only for the Dantzig constraint.
-    """
-    L, m, n = op.L, op.m, op.n
-    for _ in range(25):
-        s = b - M @ X.ravel()
+def _feasibility_polish(op, A: _GramMap, b, X, noise: NoiseSpec):
+    """Minimum-norm corrections, at most 25, moving the residual into the set."""
+    for rounds in range(26):
+        s = b - A.apply(X)
         ok, _ = measure.check_feasible(noise, op, s, tol=_FEASIBILITY_TOL)
-        if ok:
-            return X, True
+        if ok or rounds == 25:
+            return X, ok
         if noise.kind in ("lq_bounded", "intersection"):
             # shrink strictly inside to leave slack for the later DS step
-            target = project_lq_ball(s, L * noise.eta1, noise.q) * (1.0 - 1e-9)
-            delta, *_ = np.linalg.lstsq(M, s - target, rcond=None)
-            X = X + delta.reshape(m, n)
-            s = b - M @ X.ravel()
+            target = project_lq_ball(s, op.L * noise.eta1, noise.q) * (1.0 - 1e-9)
+            X = X + A.pinv(s - target)
+            s = b - A.apply(X)
         if noise.kind in ("dantzig", "intersection"):
-            y_cur = adjoint_map(op, s)
+            y_cur = A.adjoint(s)
             y_tgt = project_spectral_ball(y_cur, noise.eta2 * (1.0 - 1e-9))
-            delta, *_ = np.linalg.lstsq(G, (y_cur - y_tgt).ravel(), rcond=None)
-            X = X + delta.reshape(m, n)
-    s = b - M @ X.ravel()
-    ok, _ = measure.check_feasible(noise, op, s, tol=_FEASIBILITY_TOL)
-    return X, ok
+            X = X + A.solve(A.apply(y_cur - y_tgt), power=2)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +388,8 @@ def _restart_inits(op, b, cfg: SolverConfig, count: int):
     nrm = np.linalg.norm(Ab)
     if nrm > 0:
         inits.append(Ab / nrm * max(1.0, np.linalg.norm(b) / max(op.L, 1)))
-    j = 0
-    while len(inits) < count:
-        g = measure._substream(cfg.seed, _STREAM_SOLVER, j)
-        inits.append(g.standard_normal((op.m, op.n)))
-        j += 1
+    inits += [measure._substream(cfg.seed, _STREAM_SOLVER, j).standard_normal((op.m, op.n))
+              for j in range(count - len(inits))]
     return inits[:count]
 
 
@@ -402,7 +407,7 @@ def _unique_feasible_point(op, b):
     if op.L < mn:
         return None
     try:
-        M = explicit_operator(op)
+        M = measure.explicit_operator(op)
     except measure.ResourceError:
         return None
     x, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
@@ -430,12 +435,13 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
         # Convex case needs no restarts; nonconvex p gets them.
         n_restarts = 1 if cfg.p == 1.0 else _RESTARTS
         best, traces, total_iters, any_converged = None, [], 0, False
+        A = _GramMap(op) if noise.kind != "none" else None
         for X0 in _restart_inits(op, b, cfg, n_restarts):
             if noise.kind == "none":
                 X, trace, iters, conv = _irls_equality(op, b, cfg.p, cfg, X0=X0)
                 feas_ok = True
             else:
-                X, trace, iters, conv, feas_ok = _admm_noisy(op, b, noise, cfg, X0=X0)
+                X, trace, iters, conv, feas_ok = _admm_noisy(op, A, b, noise, cfg, X0=X0)
             traces.append(trace)
             total_iters += iters
             any_converged = any_converged or conv
@@ -462,6 +468,12 @@ def nuclear_norm_baseline(op, b, noise: NoiseSpec, cfg: SolverConfig) -> Recover
     report = schatten_p_minimize(op, b, noise, cfg1)
     report.method = "nuclear"
     return report
+
+
+@_single_blas_thread()
+def least_squares(op: RopEnsemble, b) -> np.ndarray:
+    """The minimum-norm least-squares solution of A(X) = b, through the Gram."""
+    return _GramMap(op).pinv(np.asarray(b, dtype=float))
 
 
 def _smoothed_lq(residual, eps, q):
@@ -491,47 +503,24 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
             raise SolverError("cannot retract the zero matrix onto the sphere")
         return X / nrm
 
-    inits = []
-    Ab = adjoint_map(op, b)
-    if np.linalg.norm(Ab) > 0:
-        inits.append(retract(Ab))
-    try:
-        M = explicit_operator(op)
-        xls, *_ = np.linalg.lstsq(M, b, rcond=None)
-        Xls = xls.reshape(m, n)
-        if np.linalg.norm(Xls) > 0:
-            inits.append(retract(Xls))
-        # IRLS-l1 warm start: a few reweighted least squares sweeps
-        # down-weight gross outliers, which plain least squares follows.
-        x = xls
-        for _ in range(8):
-            w = 1.0 / np.sqrt(np.abs(M @ x - b) + 1e-8)
-            x, *_ = np.linalg.lstsq(M * w[:, None], b * w, rcond=None)
-        if np.linalg.norm(x) > 0:
-            inits.append(retract(x.reshape(m, n)))
-    except measure.ResourceError:
-        pass
-    j = 0
-    while len(inits) < _RESTARTS:
-        g = measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
-        inits.append(retract(g.standard_normal((m, n))))
-        j += 1
-    inits = inits[:_RESTARTS]
+    # Warm starts: the adjoint image, least squares, and IRLS-l1, whose
+    # reweighted sweeps down-weight the gross outliers least squares follows.
+    # With A(X) = Q y the minimum-norm X is A* Q (y / lam), so sweeps fit y.
+    A = _GramMap(op)
+    y = A.Q.T @ b
+    for _ in range(8):
+        w = 1.0 / np.sqrt(np.abs(A.Q @ y - b) + 1e-8)
+        y, *_ = np.linalg.lstsq(A.Q * w[:, None], b * w, rcond=None)
+    starts = (adjoint_map(op, b), A.pinv(b), A.adjoint(A.Q @ (y / A.lam)))
+    inits = [retract(X) for X in starts if np.linalg.norm(X) > 0]
+    inits += [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
+                      .standard_normal((m, n))) for j in range(_RESTARTS - len(inits))]
 
-    best = None
-    traces = []
-    total_iters = 0
-    any_converged = False
+    best, traces, total_iters, any_converged = None, [], 0, False
     for X0 in inits:
-        X = X0
-        eps = _SMOOTHING_INITIAL
-        step = 1.0
-        trace = []
-        iters = 0
-        converged = False
-        budget = cfg.max_iterations
+        X, eps, step, trace, iters, converged = X0, _SMOOTHING_INITIAL, 1.0, [], 0, False
         level_steps = 0  # steps taken at the current smoothing level
-        while iters < budget:
+        while iters < cfg.max_iterations:
             r = apply_map(op, X) - b
             f_cur = _smoothed_lq(r, eps, cfg.q)
             gr = cfg.q * r * (r * r + eps * eps) ** (cfg.q / 2.0 - 1.0)
@@ -594,17 +583,11 @@ def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     if not isinstance(ens, RopEnsemble) or not ens.symmetric:
         raise ValueError("PhaseLift requires a symmetric ensemble")
     plus, minus, btilde = measure.debias(ens, b)
-    M = explicit_operator(plus) - explicit_operator(minus)
-
-    def l1_prox(s):
-        return np.sign(s) * np.maximum(np.abs(s) - 1.0 / _ADMM_RHO, 0.0)
-
-    def l1_residual(Z):
-        return float(np.linalg.norm(M @ Z.ravel() - btilde, 1))
-
+    A = _GramMap(plus, minus)
     Z, trace, iters, converged = _admm(
-        np.eye(ens.m) / ens.m, lambda V: spectahedron_project(0.5 * (V + V.T)),
-        [(M, M.T, btilde, l1_prox)], l1_residual, cfg)
+        np.eye(ens.m) / ens.m, A, btilde, lambda V: spectahedron_project(0.5 * (V + V.T)),
+        [(False, lambda s: prox_power(s, 1.0 / _ADMM_RHO, 1.0))],
+        lambda Z: float(np.linalg.norm(A.apply(Z) - btilde, 1)), cfg)
     return RecoveryReport(
         estimate=Z, iterations_used=iters, final_objective=trace[-1],
         constraint_slack={"trace": 1.0 - float(np.trace(Z)),

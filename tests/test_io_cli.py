@@ -286,16 +286,29 @@ def test_cli_missing_input_file_exit_code(tmp_path, capsys):
 # exit codes: 0 done, 2 bad input, 3 a solve or size beyond roprec
 
 
-def test_cli_recover_over_the_operator_cap_exits_3(tmp_path, capsys):
+def _recover_lq(tmp_path, m, L, extra=()):
+    """Exit code of sample -> recover --constraint lq on zero measurements."""
     ens_path, b_path = tmp_path / "ens.txt", tmp_path / "b.txt"
-    assert cli.main(["sample", "--m", "70", "--n", "70", "--L", "20",
+    assert cli.main(["sample", "--m", str(m), "--n", str(m), "--L", str(L),
                      "--out", str(ens_path)]) == 0
-    fileio.write_measurements(b_path, np.zeros(20))
-    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
-                     "--constraint", "lq", "--eta1", "0.01",
-                     "--out", str(tmp_path / "r.json")]) == 3
+    fileio.write_measurements(b_path, np.zeros(L))
+    return cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--constraint", "lq", "--eta1", "0.01", *extra,
+                     "--out", str(tmp_path / "r.json")])
+
+
+def test_cli_recover_70x70_lq_exits_0(tmp_path, capsys):
+    # m*n = 4900 is past the explicit operator's cap; ADMM works on the 20 x 20 Gram
+    assert _recover_lq(tmp_path, 70, 20, ["--max-iterations", "50"]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["constraint_slack"]["lq"] >= -1e-6
+
+
+def test_cli_recover_over_the_gram_cap_exits_3(tmp_path, capsys):
+    assert _recover_lq(tmp_path, 1, measure._GRAM_CAP + 1) == 3
     err = capsys.readouterr().err
-    assert err.startswith("ResourceError: ") and err.count("\n") == 1
+    assert err.startswith("ResourceError: Gram of L=4097") and err.count("\n") == 1
 
 
 def test_cli_solver_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -212,6 +212,22 @@ def test_explicit_operator_cap():
         measure.explicit_operator(ens)
 
 
+def test_gram_is_explicit_operator_product():
+    ens, other = _random_ensemble(3, 4, 7, seed=5), _random_ensemble(3, 4, 5, seed=6)
+    M, N = measure.explicit_operator(ens), measure.explicit_operator(other)
+    assert np.allclose(measure.gram(ens), M @ M.T, rtol=0, atol=1e-12)
+    assert np.allclose(measure.gram(ens, other), M @ N.T, rtol=0, atol=1e-12)
+
+
+def test_gram_past_the_cap_raises_resource_error():
+    small = _random_ensemble(1, 1, 3)
+    large = RopEnsemble(betas=np.ones((measure._GRAM_CAP + 1, 1)),
+                        gammas=np.ones((measure._GRAM_CAP + 1, 1)))
+    for op, other in ((large, None), (small, large), (large, small)):
+        with pytest.raises(measure.ResourceError):
+            measure.gram(op, other)
+
+
 # ---------------------------------------------------------------------------
 # noise
 
