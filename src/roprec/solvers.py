@@ -13,7 +13,9 @@ module owns the algorithmic choices:
   of ``measure.NoiseSpec``, the same set the noise is drawn onto): ADMM
   with the Schatten-p proximal applied singular-value-wise and each
   constraint a residual block handled by projection, plus a final
-  minimum-norm correction so the returned iterate is feasible;
+  minimum-norm correction so the returned iterate is feasible; the
+  lq-ball projection at q < 1 searches the coordinates' zeroing
+  breakpoints and runs safeguarded Newton between two of them;
 * least-q on the Schatten-p sphere: smoothed gradient descent with
   backtracking and a radial retraction after every step;
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
@@ -26,8 +28,12 @@ Every operator is a ``measure.RopEnsemble`` (PhaseLift's debiased map is
 the difference of two).  ADMM and least-q see a map through apply/adjoint
 and one eigendecomposition of its L x L Gram K = A A* (``_GramMap``):
 that gives least squares, A^+ d = A*(K^+ d), and the ADMM x-update by the
-matrix-inversion lemma (Boyd et al. 2011, 4.2.4); no mn x mn matrix is
-formed.  Only the injective-map check builds the explicit operator.
+matrix-inversion lemma (Boyd et al. 2011, 4.2.4), which also gives A(x)
+through K.  ADMM carries its iterate through measurement space, so an
+iteration applies the map once (to Z) and its adjoint once, and the
+Schatten-p trace entry comes from the shrunk singular values; no mn x mn
+matrix is formed.  Only the injective-map check builds the explicit
+operator.
 
 Nonconvexity is handled by seeded restarts; reports keep every
 per-restart objective trace and distinguish "converged" from any claim
@@ -135,10 +141,14 @@ def prox_power(s, lam: float, p: float) -> np.ndarray:
     return out
 
 
-def prox_schatten_p(X: np.ndarray, lam: float, p: float) -> np.ndarray:
-    """Matrix proximal of lam*||.||_{S_p}^p: shrink each singular value."""
+def prox_schatten_p(X: np.ndarray, lam: float, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix proximal of lam*||.||_{S_p}^p: shrink each singular value.
+
+    Returns the shrunk matrix and its singular values, the shrunk ones.
+    """
     dec = svd(X)
-    return (dec.U * prox_power(dec.sigma, lam, p)) @ dec.V.T
+    sigma = prox_power(dec.sigma, lam, p)
+    return (dec.U * sigma) @ dec.V.T, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +171,14 @@ def project_lq_ball(v: np.ndarray, radius: float, q: float) -> np.ndarray:
     """Per-coordinate surrogate projection onto {||v||_q <= radius}.
 
     Exact for q = 1.  For q < 1 the ball is nonconvex; the returned point
-    solves the coordinate-wise prox of lam*|.|^q with lam bisected until
-    the constraint is met from inside.
+    is prox_power(v, lam, q) at the smallest lam (to 1e-13 relative) whose
+    point is in the ball.  The mass f(lam) = sum |prox_power(v, lam, q)|^q
+    falls with lam, smoothly except where coordinate i jumps to 0, at its
+    breakpoint lam_i = (|v_i| (2-2q)/(2-q))^(2-q) / (2(1-q)).  A search
+    over the sorted breakpoints finds the segment where f crosses
+    radius^q, and safeguarded Newton finds the crossing in it (or the
+    crossing is the segment's jump); the point returned is on the
+    feasible side.
     """
     if q == 1.0:
         return project_l1_ball(v, radius)
@@ -170,22 +186,60 @@ def project_lq_ball(v: np.ndarray, radius: float, q: float) -> np.ndarray:
     if np.sum(np.abs(v) ** q) <= target or radius == 0.0:
         return v.copy() if radius > 0 else np.zeros_like(v)
 
-    lo, hi = 0.0, 1.0
-    while np.sum(np.abs(prox_power(v, hi, q)) ** q) > target:
-        hi *= 2.0
-        if hi > 1e16:
-            return np.zeros_like(v)
-    # lo stays infeasible and hi feasible; once the midpoint rounds onto
-    # either end every further step is a no-op.
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if np.sum(np.abs(prox_power(v, mid, q)) ** q) > target:
-            lo = mid
+    a = np.abs(v)
+    lams = (a * (2.0 - 2.0 * q) / (2.0 - q)) ** (2.0 - q) / (2.0 - 2.0 * q)
+
+    def mass(lam):
+        z = prox_power(v, lam, q)
+        # at its own breakpoint a coordinate is 0, whichever way rounding
+        # turns prox_power's jump test there
+        z[lams <= lam] = 0.0
+        return np.sum(np.abs(z) ** q), z
+
+    breaks = np.unique(lams[a > 0])
+    # f(breaks[lo]) > target >= f(breaks[hi]); lo = -1 stands for lam = 0, and
+    # past the last breakpoint every coordinate is 0.
+    lo, hi = -1, breaks.size - 1
+    f_lo, z_lo, z_hi = np.sum(a**q), v, np.zeros_like(v)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid, z_mid = mass(breaks[mid])
+        if f_mid > target:
+            lo, f_lo, z_lo = mid, f_mid, z_mid
         else:
-            hi = mid
-    return prox_power(v, hi, q)
+            hi, z_hi = mid, z_mid
+    lam_lo, lam_hi = (breaks[lo] if lo >= 0 else 0.0), breaks[hi]
+    # The segment's mass just below lam_hi, where the coordinates breaking
+    # there still hold their jump size zstar: at or above the target, the
+    # crossing is that jump.
+    zstar = (2.0 * lam_hi * (1.0 - q)) ** (1.0 / (2.0 - q))
+    f_jump = np.sum(np.abs(z_hi[lams > lam_hi]) ** q) + np.sum(lams == lam_hi) * zstar**q
+    if f_jump >= target:
+        return z_hi
+    lam, f, z = lam_lo, f_lo, z_lo
+    for _ in range(100):
+        if f <= target:
+            lam_hi, z_hi = lam, z
+        else:
+            lam_lo = lam
+        tol = 1e-13 * lam_hi
+        if lam_hi - lam_lo <= tol:
+            break
+        kept = np.abs(z[z != 0])
+        # d|z|^q/dlam over the kept coordinates, by implicit differentiation
+        # of the root condition z - |v| + lam q z^(q-1) = 0
+        slope = -np.sum(q * q * kept ** (2.0 * q - 2.0)
+                        / (1.0 + lam * q * (q - 1.0) * kept ** (q - 2.0)))
+        new = lam - (f - target) / slope if slope < 0 else lam_lo
+        # Newton's last steps fall below tol: on the feasible side that ends
+        # the search, and from the other side a step of tol crosses over.
+        if f <= target and lam - new <= tol:
+            break
+        if f > target:
+            new = max(new, lam + tol)
+        lam = new if lam_lo < new < lam_hi else 0.5 * (lam_lo + lam_hi)
+        f, z = mass(lam)
+    return z_hi
 
 
 def project_spectral_ball(Y: np.ndarray, radius: float) -> np.ndarray:
@@ -277,16 +331,21 @@ def _irls_equality(op, b, p, cfg: SolverConfig, X0=None):
 
 class _GramMap:
     """The map A of ``op``, or with ``minus`` the debiased map op - minus, by
-    apply/adjoint and the eigenpairs (lam, Q) of its Gram K = A A* above
-    L * eps * max(lam).  With A = Q S V^T, lam = S^2."""
+    apply/adjoint, its Gram K = A A* and the eigenpairs (lam, Q) of K above
+    L * eps * scale.  With A = Q S V^T, lam = S^2."""
 
     def __init__(self, op: RopEnsemble, minus: RopEnsemble | None = None):
         terms = [(1.0, op)] + ([(-1.0, minus)] if minus is not None else [])
         self.apply = lambda X: sum(s * apply_map(o, X) for s, o in terms)
         self.adjoint = lambda z: sum(s * adjoint_map(o, z) for s, o in terms)
-        K = sum(si * sj * measure.gram(oi, oj) for si, oi in terms for sj, oj in terms)
-        lam, Q = np.linalg.eigh(K)
-        keep = lam > K.shape[0] * np.finfo(float).eps * lam.max(initial=0.0)
+        self.K = sum(si * sj * measure.gram(oi, oj) for si, oi in terms for sj, oj in terms)
+        lam, Q = np.linalg.eigh(self.K)
+        # K is rounded at the scale of the Grams it sums.  A debiased Gram is
+        # a difference of half Grams, whose traces sum(|beta_j|^2 |gamma_j|^2)
+        # bound that scale when the halves cancel far below it.
+        scale = lam.max(initial=0.0) if minus is None else sum(
+            np.sum(o.betas**2, axis=1) @ np.sum(o.gammas**2, axis=1) for o in (op, minus))
+        keep = lam > self.K.shape[0] * np.finfo(float).eps * scale
         self.lam, self.Q = lam[keep], Q[:, keep]
 
     def solve(self, d, power: int = 1):
@@ -298,22 +357,35 @@ class _GramMap:
         X = self.solve(d)
         return X + self.solve(d - self.apply(X))
 
-    def solve_shifted(self, R, phi):
-        """(I + A* Phi A)^{-1} R = R - A* Phi (I + K Phi)^{-1} A(R), where
-        Phi = phi(K) is given by its values at lam (matrix-inversion lemma)."""
+    def solve_shifted(self, R, AR, y, phi):
+        """x = (I + A* Phi A)^{-1} (R + A*(y)) and A(x), given AR = A(R).
+
+        Phi = phi(K) is given by its values at lam.  By the matrix-inversion
+        lemma x = R + A*(g) with g = y - Q psi Q^T (A(R) + K y), psi =
+        phi / (1 + lam phi), so A(x) = A(R) + K g: one adjoint, no apply.
+        """
         psi = phi / (1.0 + self.lam * phi)
-        return R - self.adjoint(self.Q @ (psi * (self.Q.T @ self.apply(R))))
+        g = y - self.Q @ (psi * (self.Q.T @ (AR + self.K @ y)))
+        return R + self.adjoint(g), AR + self.K @ g
 
 
 def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
     """Scaled-form ADMM splitting the variable x into Z and residual blocks.
 
-    ``prox_z`` maps x + u to the next Z.  A block (dantzig, prox) holds the
-    residual c - B x, with B = A and c = b for an lq/l1 block and B = A* A,
-    c = A*(b) for a Dantzig block, in a set (or penalizes it): ``prox`` maps
-    it plus its scaled dual v to w.  The x-update's system I + sum B^T B is
-    I + A* Phi A, Phi = I per lq/l1 block plus the Gram A A* per Dantzig
-    block.  Returns (Z, objective trace, iterations, converged).
+    ``prox_z`` maps x + u to the next Z and a by-product of it, from which
+    with A(Z) ``objective`` gives the trace entry.  A block (dantzig, prox)
+    holds the residual c - B x, with B = A and c = b for an lq/l1 block and
+    B = A* A, c = A*(b) for a Dantzig block, in a set (or penalizes it):
+    ``prox`` maps it plus its scaled dual v to w.  The x-update's system
+    I + sum B^T B is I + A* Phi A, Phi = I per lq/l1 block plus the Gram
+    A A* per Dantzig block, and its right side is Z - u + A*(y) with y the
+    sum of the blocks' c - w + v, mapped by A for a Dantzig block.
+
+    The iterate is carried through measurement space: A(Z - u) comes from
+    A(Z) and a running A(u), and A(x) from ``solve_shifted``.  So an
+    iteration costs one apply (of Z) and one adjoint, plus for a Dantzig
+    block one apply of its term and one adjoint of b - A(x).  Returns (Z,
+    objective trace, iterations, converged).
     """
     phi = sum(A.lam if dantzig else 1.0 for dantzig, _ in blocks)
 
@@ -323,20 +395,25 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
 
     cs, ws = residuals(np.zeros_like(X0)), residuals(X0)
     Z, u = X0, np.zeros_like(X0)
+    AZ, Au = A.apply(Z), np.zeros_like(b)
     vs = [np.zeros_like(w) for w in ws]
     trace, iters, converged = [], 0, False
     for it in range(cfg.max_iterations):
         iters = it + 1
         y = sum(A.apply(c - w + v) if dantzig else c - w + v
                 for (dantzig, _), c, w, v in zip(blocks, cs, ws, vs))
-        x = A.solve_shifted(Z - u + A.adjoint(y), phi)
+        x, Ax = A.solve_shifted(Z - u, AZ - Au, y, phi)
         Z_prev = Z
-        Z = prox_z(x + u)
-        for k, ((_, prox), s) in enumerate(zip(blocks, residuals(x))):
+        Z, by_product = prox_z(x + u)
+        AZ = A.apply(Z)
+        r = b - Ax
+        for k, (dantzig, prox) in enumerate(blocks):
+            s = A.adjoint(r) if dantzig else r
             ws[k] = prox(s + vs[k])
             vs[k] += s - ws[k]
         u += x - Z
-        trace.append(objective(Z))
+        Au += Ax - AZ
+        trace.append(objective(by_product, AZ))
         tol = _TOLERANCE * max(1.0, np.linalg.norm(x))  # on the primal and dual residuals
         if np.linalg.norm(x - Z) <= tol and np.linalg.norm(Z - Z_prev) <= tol and it > 10:
             converged = True
@@ -352,9 +429,10 @@ def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig, X0=None
     if noise.kind in ("dantzig", "intersection"):
         blocks.append((True, lambda S: project_spectral_ball(S, noise.eta2)))
     X0 = np.asarray(X0, dtype=float) if X0 is not None else A.pinv(b)
+    # the trace entry ||Z||_{S_p}^p sums the shrunk singular values' powers
     X, trace, iters, converged = _admm(
         X0, A, b, lambda V: prox_schatten_p(V, 1.0 / _ADMM_RHO, cfg.p), blocks,
-        lambda Z: schatten_norm(Z, cfg.p) ** cfg.p, cfg)
+        lambda sigma, _: float(np.sum(sigma**cfg.p)), cfg)
     X, feas_ok = _feasibility_polish(op, A, b, X, noise)
     return X, trace, iters, converged and feas_ok, feas_ok
 
@@ -585,9 +663,10 @@ def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     plus, minus, btilde = measure.debias(ens, b)
     A = _GramMap(plus, minus)
     Z, trace, iters, converged = _admm(
-        np.eye(ens.m) / ens.m, A, btilde, lambda V: spectahedron_project(0.5 * (V + V.T)),
+        np.eye(ens.m) / ens.m, A, btilde,
+        lambda V: (spectahedron_project(0.5 * (V + V.T)), None),
         [(False, lambda s: prox_power(s, 1.0 / _ADMM_RHO, 1.0))],
-        lambda Z: float(np.linalg.norm(A.apply(Z) - btilde, 1)), cfg)
+        lambda _, AZ: float(np.linalg.norm(AZ - btilde, 1)), cfg)
     return RecoveryReport(
         estimate=Z, iterations_used=iters, final_objective=trace[-1],
         constraint_slack={"trace": 1.0 - float(np.trace(Z)),

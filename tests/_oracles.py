@@ -3,9 +3,9 @@
 Everything here deliberately avoids the library's own code paths (and
 numpy's SVD where the point is to check an SVD): eigenvalues come from a
 cyclic Jacobi iteration, projections from brute-force threshold scans,
-small nonconvex minimizers from grid search with local refinement, and
-the scalar prox of lam*|z|^p from a per-coordinate Newton solve with a
-grid fallback.
+small nonconvex minimizers from grid search with local refinement, the
+scalar prox of lam*|z|^p from a per-coordinate Newton solve with a grid
+fallback, and the lq-ball projection from a bisection on its shrinkage.
 """
 
 import numpy as np
@@ -55,6 +55,32 @@ def prox_power_scalar(s: float, lam: float, p: float) -> float:
     if lam * z**p + 0.5 * (z - a) ** 2 >= 0.5 * a * a:
         return 0.0
     return sign * z
+
+
+def lq_ball_bisection(v, radius, q, shrink):
+    """Projection onto {||w||_q <= radius}, 0 < q < 1, as shrink(v, lam, q) at
+    the smallest lam whose point is in the ball: a doubling search for a
+    feasible lam, then bisection until the bracket stops shrinking.  The
+    mass sum |shrink(v, lam, q)|^q only has to fall with lam."""
+    v = np.asarray(v, dtype=float)
+    target = radius**q
+    if np.sum(np.abs(v) ** q) <= target or radius == 0.0:
+        return v.copy() if radius > 0 else np.zeros_like(v)
+    lo, hi = 0.0, 1.0
+    while np.sum(np.abs(shrink(v, hi, q)) ** q) > target:
+        hi *= 2.0
+        if hi > 1e16:
+            return np.zeros_like(v)
+    # lo stays infeasible and hi feasible, down to adjacent floats
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if np.sum(np.abs(shrink(v, mid, q)) ** q) > target:
+            lo = mid
+        else:
+            hi = mid
+    return shrink(v, hi, q)
 
 
 def jacobi_eigenvalues(A, sweeps=60):

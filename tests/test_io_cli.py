@@ -149,21 +149,29 @@ def test_cli_phase_transition_deterministic(tmp_path):
 
 
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
+    # IRLS (phase transition), ADMM over the lq ball (bound check) and
+    # PhaseLift's ADMM on the debiased map
     if not linalg._openblas_pools():
         pytest.skip("no OpenBLAS thread-count symbols found in this process")
     src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"pt{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "roprec.cli", "phase-transition", "--m", "20", "--n", "20",
-             "--r", "2", "--L", "240", "--method", "schatten-p", "--p", "0.5",
-             "--trials", "1", "--max-iterations", "200", "--seed", "1", "--out", str(out)],
-            env=env, check=True, timeout=300)
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    runs = [
+        ["phase-transition", "--m", "20", "--n", "20", "--r", "2", "--L", "240",
+         "--method", "schatten-p", "--p", "0.5", "--max-iterations", "200"],
+        ["bound-check", "--m", "12", "--n", "12", "--r", "1", "--L", "150",
+         "--eta1", "0.05", "--max-iterations", "400"],
+        ["phaselift-demo", "--m", "16", "--L", "160"],
+    ]
+    for argv in runs:
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "roprec.cli", *argv, "--trials", "1",
+                            "--seed", "1", "--out", str(out)],
+                           env=env, check=True, timeout=300)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], argv[0]
 
 
 def test_cli_config_file_driving(tmp_path):

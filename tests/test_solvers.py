@@ -9,7 +9,7 @@ from roprec import certify, linalg, measure, solvers
 from roprec.measure import NoiseSpec
 from roprec.solvers import SolverConfig
 
-from _oracles import debiased_stack, prox_power_scalar
+from _oracles import debiased_stack, lq_ball_bisection, prox_power_scalar
 
 rng = np.random.default_rng(77)
 
@@ -79,21 +79,6 @@ def test_prox_matches_scalar_oracle_property():
     check()
 
 
-def _lq_ball_80_steps(v, radius, q, shrink):
-    """The lq-ball bisection as it ran before its early exit: all 80 steps."""
-    target = radius**q
-    lo, hi = 0.0, 1.0
-    while np.sum(np.abs(shrink(v, hi, q)) ** q) > target:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if np.sum(np.abs(shrink(v, mid, q)) ** q) > target:
-            lo = mid
-        else:
-            hi = mid
-    return shrink(v, hi, q)
-
-
 def _oracle_shrink(v, lam, q):
     return np.array([prox_power_scalar(x, lam, q) for x in v])
 
@@ -105,16 +90,80 @@ def test_lq_ball_projection_matches_scalar_bisection(q, seed):
     v = g.standard_normal(150) * g.uniform(0.01, 3.0)
     radius = 0.2 * np.sum(np.abs(v) ** q) ** (1.0 / q)
     w = solvers.project_lq_ball(v, radius, q)
-    assert np.array_equal(w, _lq_ball_80_steps(v, radius, q, solvers.prox_power))
-    w_ref = _lq_ball_80_steps(v, radius, q, _oracle_shrink)
+    w_ref = lq_ball_bisection(v, radius, q, _oracle_shrink)
     assert np.array_equal(w == 0.0, w_ref == 0.0)
     assert np.max(np.abs(w - w_ref)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+    assert np.sum(np.abs(w) ** q) <= radius**q
     assert 0 < np.count_nonzero(w) < v.size
 
 
+def test_lq_ball_projection_matches_bisection_property(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    calls, prox = [], solvers.prox_power
+
+    def counted(*args):
+        calls.append(1)
+        return prox(*args)
+
+    monkeypatch.setattr(solvers, "prox_power", counted)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(q=st.sampled_from([0.5, 2.0 / 3.0, 0.9]), L=st.integers(1, 40),
+                      scale=st.floats(1e-3, 1e3), fraction=st.floats(0.0, 1.5),
+                      ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def check(q, L, scale, fraction, ties, seed):
+        v = np.random.default_rng(seed).standard_normal(L) * scale
+        if ties:
+            v[: L // 2] = v[0]
+        # fraction > 1 puts v inside the ball
+        radius = fraction * np.sum(np.abs(v) ** q) ** (1.0 / q)
+        calls.clear()
+        w = solvers.project_lq_ball(v, radius, q)
+        # a search over at most 40 breakpoints and a few Newton steps, where
+        # bisecting to rounding takes about 50 shrinkages
+        assert len(calls) <= 30
+        w_ref = lq_ball_bisection(v, radius, q, prox)
+        assert np.max(np.abs(w - w_ref)) <= 1e-10 * max(1.0, np.max(np.abs(v)))
+        assert np.sum(np.abs(w) ** q) <= radius**q
+        assert np.sum(np.abs(w_ref) ** q) <= radius**q
+
+    check()
+
+
+def test_lq_ball_projection_needs_few_shrinkages(monkeypatch):
+    # the p = q = 0.5 recover cell of the benchmark: m = n = 13, L = 150
+    m, L = 13, 150
+    ens, X0, b_clean = _planted(m, m, 1, L, seed=0)
+    spec = NoiseSpec(kind="lq_bounded", q=0.5, eta1=0.01)
+    b = b_clean + measure.generate_noise(spec, ens, seed=0)
+    calls, inside = [], []
+    prox, project = solvers.prox_power, solvers.project_lq_ball
+
+    def prox_spy(*args):
+        if inside:
+            calls[-1] += 1
+        return prox(*args)
+
+    def project_spy(*args):
+        calls.append(0)
+        inside.append(1)
+        try:
+            return project(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solvers, "prox_power", prox_spy)
+    monkeypatch.setattr(solvers, "project_lq_ball", project_spy)
+    solvers.schatten_p_minimize(ens, b, spec, SolverConfig(p=0.5, q=0.5, max_iterations=100))
+    assert len(calls) > 300
+    assert max(calls) <= 15
+
+
 def test_prox_schatten_soft_threshold_matrix():
-    out = solvers.prox_schatten_p(np.diag([3.0, 1.0]), 1.0, 1.0)
+    out, sigma = solvers.prox_schatten_p(np.diag([3.0, 1.0]), 1.0, 1.0)
     assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-10)
+    assert np.array_equal(sigma, [2.0, 0.0])
 
 
 def test_l1_ball_projection():
@@ -250,6 +299,42 @@ def test_noisy_feasible_at_exit(kind, m, L, seed, p):
     assert err <= 0.2  # coarse: noise level 0.01 per measurement
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("budget", [1, 2, 7, 60])
+def test_admm_trace_entry_is_the_objective_of_the_returned_iterate(monkeypatch, p, budget):
+    # ADMM's trace entry comes from the shrunk singular values, not a second
+    # SVD; the polish after ADMM is switched off so Z is ADMM's own.  An SVD
+    # of Z returns the singular values that the shrinkage set to 0 as
+    # rounding, ~1e-16, whose square roots would add ~1e-8 at p = 1/2: the
+    # recomputation counts those below numpy's rank tolerance as 0.
+    monkeypatch.setattr(solvers, "_feasibility_polish", lambda op, A, b, X, noise: (X, True))
+    ens, X0, b_clean = _planted(6, 6, 1, 80, seed=7)
+    spec = NoiseSpec(kind="lq_bounded", q=p, eta1=0.01)
+    b = b_clean + measure.generate_noise(spec, ens, seed=7)
+    Z, trace, iters, _, _ = solvers._admm_noisy(
+        ens, solvers._GramMap(ens), b, spec, SolverConfig(p=p, q=p, max_iterations=budget))
+    assert len(trace) == iters <= budget
+    sigma = linalg.singular_values(Z)
+    sigma = sigma[sigma > max(Z.shape) * np.finfo(float).eps * sigma[0]]
+    assert trace[-1] == pytest.approx(np.sum(sigma**p), rel=1e-12)
+    assert trace[-1] > 0 or budget < 60
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 60])
+def test_phaselift_trace_entry_is_the_l1_misfit_of_the_estimate(budget):
+    m = 6
+    ens = measure.sample_gaussian_rop(m, m, 60, symmetric=True, seed=17)
+    x = np.random.default_rng(18).standard_normal(m)
+    b = measure.apply_map(ens, np.outer(x, x) / (x @ x))
+    report = solvers.phaselift_lad(ens, b, SolverConfig(max_iterations=budget))
+    plus, minus, btilde = measure.debias(ens, b)
+    misfit = measure.apply_map(plus, report.estimate) - measure.apply_map(minus, report.estimate)
+    (trace,) = report.objective_traces
+    assert len(trace) == report.iterations_used <= budget
+    assert trace[-1] == report.final_objective
+    assert trace[-1] == pytest.approx(np.linalg.norm(misfit - btilde, 1), rel=1e-12)
+
+
 def test_nuclear_baseline_agrees_with_p1():
     for L in (60, 20):
         ens, X0, b = _planted(5, 5, 1, L, seed=9)
@@ -369,6 +454,10 @@ def test_gram_solves_match_explicit_operator_property():
 
     @hypothesis.settings(max_examples=200, deadline=None, database=None)
     @hypothesis.given(ens=ensembles(), seed=st.integers(0, 2**32 - 1))
+    # a debiased Gram whose halves cancel: rounding at their scale lifts a
+    # null eigenvalue over a cut relative to its own largest eigenvalue
+    @hypothesis.example(ens=measure.sample_gaussian_rop(1, 1, 4, symmetric=True, seed=317),
+                        seed=0)
     def check(ens, seed):
         g = np.random.default_rng(seed)
         M = measure.explicit_operator(ens)
@@ -377,21 +466,21 @@ def test_gram_solves_match_explicit_operator_property():
         d = g.standard_normal(ens.L)
         x_ls = np.linalg.lstsq(M, d, rcond=None)[0]
         assert np.linalg.norm(A.pinv(d).ravel() - x_ls) <= 1e-9 * max(1.0, np.linalg.norm(x_ls))
-        # the ADMM x-update for an lq block, a Dantzig block and both
-        R = g.standard_normal((ens.m, ens.n))
+        # the ADMM x-update for an lq block, a Dantzig block and both: x solves
+        # (I + sum B^T B) x = R + A*(y), and A(x) comes back with it
+        R, y = g.standard_normal((ens.m, ens.n)), g.standard_normal(ens.L)
         G = M.T @ M
         for blocks in ((M,), (G,), (M, G)):
             H = np.eye(ens.m * ens.n) + sum(B.T @ B for B in blocks)
             phi = sum(A.lam if B is G else 1.0 for B in blocks)
-            x = np.linalg.solve(H, R.ravel())
-            assert np.linalg.norm(A.solve_shifted(R, phi).ravel() - x) \
-                <= 1e-10 * max(1.0, np.linalg.norm(x))
+            x = np.linalg.solve(H, R.ravel() + M.T @ y)
+            x_gram, Ax = A.solve_shifted(R, M @ R.ravel(), y, phi)
+            assert np.linalg.norm(x_gram.ravel() - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+            assert np.linalg.norm(Ax - M @ x) <= 1e-10 * max(1.0, np.linalg.norm(M @ x))
         # PhaseLift's debiased map: its Gram, from cross Grams of the halves,
         # is S S^T for the explicit debiased matrix S up to the dropped null
-        # eigenvalues, and its x-update (one l1 block) solves I + S^T S.
-        # (Its least squares is not checked: the Gram is a difference, so
-        # rounding of the halves' size can lift a null eigenvalue over the
-        # cut, which the x-update absorbs but A^+ would divide by.)
+        # eigenvalues; its least squares is lstsq on S, and its x-update (one
+        # l1 block) solves I + S^T S.
         if ens.symmetric and ens.L >= 2:
             plus, minus, _ = measure.debias(ens, np.zeros(ens.L))
             D = solvers._GramMap(plus, minus)
@@ -399,9 +488,14 @@ def test_gram_solves_match_explicit_operator_property():
             SSt = S @ S.T
             assert np.allclose((D.Q * D.lam) @ D.Q.T, SSt, rtol=0,
                                atol=1e-10 * max(1.0, np.abs(SSt).max()))
-            x = np.linalg.solve(np.eye(ens.m * ens.m) + S.T @ S, R.ravel())
-            assert np.linalg.norm(D.solve_shifted(R, 1.0).ravel() - x) \
-                <= 1e-10 * max(1.0, np.linalg.norm(x))
+            d = g.standard_normal(ens.L // 2)
+            x_ls = np.linalg.lstsq(S, d, rcond=None)[0]
+            assert np.linalg.norm(D.pinv(d).ravel() - x_ls) <= 1e-9 * max(1.0, np.linalg.norm(x_ls))
+            y = g.standard_normal(ens.L // 2)
+            x = np.linalg.solve(np.eye(ens.m * ens.m) + S.T @ S, R.ravel() + S.T @ y)
+            x_gram, Ax = D.solve_shifted(R, S @ R.ravel(), y, 1.0)
+            assert np.linalg.norm(x_gram.ravel() - x) <= 1e-10 * max(1.0, np.linalg.norm(x))
+            assert np.linalg.norm(Ax - S @ x) <= 1e-10 * max(1.0, np.linalg.norm(S @ x))
 
     check()
 
