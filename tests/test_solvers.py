@@ -238,9 +238,9 @@ def test_nonconvex_beats_truth_objective_2x2():
 
 
 def test_irls_objective_trace_monotone():
-    # L = 24 < mn runs IRLS with three restarts; L = 60 >= mn is injective,
-    # one solve with a one-entry trace
-    for L, restarts in ((24, 3), (60, 1)):
+    # L = 24 < mn runs IRLS once; L = 60 >= mn is injective, one solve with
+    # a one-entry trace
+    for L, restarts in ((24, 1), (60, 1)):
         ens, X0, b = _planted(6, 6, 1, L, seed=4)
         report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
                                              SolverConfig(p=0.7, max_iterations=200))
@@ -248,6 +248,20 @@ def test_irls_objective_trace_monotone():
         for trace in report.objective_traces:
             diffs = np.diff(trace)
             assert np.all(diffs <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7])
+def test_equality_irls_runs_one_start(p):
+    # below L = mn IRLS runs once, from the minimum-Frobenius point, so the
+    # solver seed has nothing to act on
+    ens, _, b = _planted(6, 6, 1, 24, seed=4)
+    reports = [solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                           SolverConfig(p=p, max_iterations=200, seed=seed))
+               for seed in (0, 12345)]
+    for report in reports:
+        [trace] = report.objective_traces
+        assert report.iterations_used == len(trace)
+    assert reports[0].estimate.tobytes() == reports[1].estimate.tobytes()
 
 
 def test_harmonic_mean_gram_matches_explicit_operator(monkeypatch):
@@ -291,7 +305,7 @@ def test_harmonic_mean_irls_needs_few_iterations():
         report = solvers.schatten_p_minimize(
             ens, measure.apply_map(ens, X0), NoiseSpec(kind="none"),
             SolverConfig(p=0.5, max_iterations=200, seed=seed))
-        assert len(report.objective_traces) == 3
+        assert len(report.objective_traces) == 1
         assert all(len(trace) <= 25 for trace in report.objective_traces)
         assert report.converged
         assert np.linalg.norm(report.estimate - X0) <= 1e-6  # ||X0|| = 1
@@ -420,7 +434,7 @@ def test_injective_solve_matches_irls(m, n, r, L, seed, p):
     ens, X0, b = _planted(m, n, r, L, seed=seed)
     cfg = SolverConfig(p=p, max_iterations=300)
     report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
-    [(X_irls, _, iters, converged, _)] = solvers._irls_equality(ens, b, p, cfg, [None])
+    X_irls, _, iters, converged, _ = solvers._irls_equality(ens, b, p, cfg)
     assert report.iterations_used == 1 and iters > 1 and converged
     assert report.converged and report.globally_optimal
     assert report.objective_traces == [[report.final_objective]]
@@ -465,6 +479,18 @@ def test_symmetric_ensemble_at_large_L_still_runs_irls():
                                          SolverConfig(p=1.0, max_iterations=300))
     assert report.iterations_used > 1
     assert np.linalg.norm(report.estimate - X0) <= 1e-8
+
+
+@pytest.mark.parametrize("L, seed", [(5, 49101), (7, 1103), (44, 13140)])
+def test_symmetric_rank_is_not_mistaken_for_injective(L, seed):
+    # A symmetric 2 x 2 map has two equal columns, rank 3 < mn = 4.  At a
+    # rank cutoff of eps * sigma_1 the pivoted QR counts the second copy's
+    # rounding residual as rank 4 on these maps; the cutoff
+    # eps * max(L, mn) * sigma_1 does not.
+    ens = measure.sample_gaussian_rop(2, 2, L, symmetric=True, seed=seed)
+    assert np.linalg.matrix_rank(measure.explicit_operator(ens)) == 3
+    b = measure.apply_map(ens, np.eye(2))
+    assert solvers._unique_feasible_point(ens, b) is None
 
 
 def test_injective_inconsistent_measurements_report_slack():
