@@ -45,7 +45,7 @@ matrix is formed.  Only the injective-map check builds the explicit
 operator.
 
 Equality IRLS runs once, from X_mf: at p < 1 restarts from other starts
-won 10 of 1160 measured trials, all near the information limit (L < 1.7
+won 10 of 1160 measured trials, all near the information limit (L <= 1.61
 r(m+n-r); see the README).  ADMM at p < 1 handles nonconvexity by seeded
 restarts.  Reports keep every per-restart objective trace and
 distinguish "converged" from any claim of global optimality (made only
@@ -330,7 +330,7 @@ def _smoothed_schatten(w, eps, p):
 
 def _irls_equality(op, b, p, cfg: SolverConfig):
     """IRLS from the minimum-Frobenius feasible point X_mf; returns one run
-    (X, trace, iterations, converged, feasible), a zero run when b = 0.
+    (X, trace, iterations, converged), a zero run when b = 0.
 
     At p < 1 the step uses the harmonic mean of the left and right
     weights (Kuemmerle & Sigl 2018), which lets eps decay by
@@ -342,7 +342,7 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
     X = solve(np.eye(op.m), b)
     scale = float(np.sum(X**2))
     if scale == 0.0:
-        return X, [0.0], 1, True, True
+        return X, [0.0], 1, True
     harmonic = p < 1.0
     decay = _IRLS_HM_DECAY if harmonic else _SMOOTHING_DECAY
     floor = _SMOOTHING_FLOOR * scale
@@ -363,7 +363,7 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
         if change <= _TOLERANCE and eps <= 1e-9 * scale * 1.001:
             converged = True
             break
-    return X, trace, iters, converged, True
+    return X, trace, iters, converged
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +529,7 @@ def _unique_feasible_point(op, b):
         M = measure.explicit_operator(op)
     except measure.ResourceError:
         return None
-    # gelsy (column-pivoted QR) at a third of gelsd's (SVD) cost.  Its rank
-    # cutoff is numpy's, eps * max(L, mn): at scipy's default eps it counts
-    # the rounding residual of a symmetric map's repeated column as rank.
-    x, _, rank, _ = scipy.linalg.lstsq(M, b, cond=np.finfo(float).eps * max(M.shape),
-                                       lapack_driver="gelsy", check_finite=False)
+    x, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
     return x.reshape(op.m, op.n) if rank == mn else None
 
 
@@ -554,16 +550,15 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
     if unique is not None:
         obj = schatten_norm(unique, cfg.p) ** cfg.p
         best, traces, total_iters, any_converged = (unique, obj), [[obj]], 1, True
+    elif noise.kind == "none":
+        X, trace, total_iters, any_converged = _irls_equality(op, b, cfg.p, cfg)
+        best, traces = (X, schatten_norm(X, cfg.p) ** cfg.p), [trace]
     else:
-        if noise.kind == "none":
-            runs = [_irls_equality(op, b, cfg.p, cfg)]
-        else:
-            # Convex case needs no restarts; nonconvex p gets them.
-            A = _GramMap(op)
-            runs = [_admm_noisy(op, A, b, noise, cfg, X0=X0)
-                    for X0 in _restart_inits(op, b, cfg, 1 if cfg.p == 1.0 else _RESTARTS)]
+        # Convex case needs no restarts; nonconvex p gets them.
+        A = _GramMap(op)
         best, traces, total_iters, any_converged = None, [], 0, False
-        for X, trace, iters, conv, feas_ok in runs:
+        for X0 in _restart_inits(op, b, cfg, 1 if cfg.p == 1.0 else _RESTARTS):
+            X, trace, iters, conv, feas_ok = _admm_noisy(op, A, b, noise, cfg, X0=X0)
             traces.append(trace)
             total_iters += iters
             any_converged = any_converged or conv
