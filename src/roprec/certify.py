@@ -4,6 +4,8 @@ Estimates the two-sided constants (C1, C2) of the lq restricted uniform
 boundedness property by sampling random rank-r matrices, evaluates the
 recovery-condition inequalities, converts to RIP-l2/lq and robust rank
 null-space-property constants, and computes theoretical error bounds.
+The Schatten-p bound takes the ``measure.NoiseSpec`` the program was
+solved over, so the noise draw, the solve and the bound read one spec.
 
 The sampled extrema are *inner* estimates: C1_hat >= true infimum and
 C2_hat <= true supremum, so condition checks driven by them are
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .measure import apply_map, _substream
+from .measure import NoiseSpec, apply_map, _substream
 from .linalg import _single_blas_thread, rank_split, schatten_norm
 
 _STREAM_RUB = 3
@@ -51,7 +53,7 @@ class RubEstimate:
 class NspConstants:
     D: float
     beta: float
-    bound_kind: str  # lq | dantzig
+    bound_kind: str  # lq_bounded | dantzig
     t: float
     p: float
     valid: bool  # beta < 1, required for every downstream bound
@@ -98,12 +100,14 @@ def _check_pq(p, q):
         raise ValueError("need 0 < p <= q <= 1")
 
 
-def validate_k(k: float, r: int) -> None:
-    """k > 1 with k*r a positive integer, as the exact-recovery theorems require."""
+def rub_order(k: float, r: int) -> int:
+    """The RUB rank order (k + 1) r, for k > 1 with k*r a positive integer,
+    as the exact-recovery theorems require."""
     if k <= 1:
         raise ValueError("k must exceed 1")
     if abs(k * r - round(k * r)) > 1e-9:
         raise ValueError(f"k*r must be a positive integer, got {k * r}")
+    return int(round((k + 1) * r))
 
 
 def check_exact_condition(C1: float, C2: float, k: float, p: float, q: float) -> bool:
@@ -170,8 +174,8 @@ def nsp_from_rub(C1: float, C2: float, k: float, p: float, q: float, L: int,
                  bound_kind: str, r: int = 1) -> NspConstants:
     """Robust rank null-space-property constants induced by an lq-RUB pair.
 
-    lq bound: D = (C1 L)^(-p/q), beta = (C2 / (C1 k^((1/p-1/2)q)))^(p/q).
-    Dantzig bound: D = (2^(q/p+1) / (C1^(2p/q) L^p))^(p/q) * r^((1/p-1/2)p),
+    lq_bounded: D = (C1 L)^(-p/q), beta = (C2 / (C1 k^((1/p-1/2)q)))^(p/q).
+    dantzig: D = (2^(q/p+1) / (C1^(2p/q) L^p))^(p/q) * r^((1/p-1/2)p),
     beta = (2 C2 / (C1 k^((1/p-1/2)q)) + 1/2)^(p/q); the Dantzig D depends
     on the rank order r.  beta >= 1 is flagged, not raised.
     """
@@ -179,7 +183,7 @@ def nsp_from_rub(C1: float, C2: float, k: float, p: float, q: float, L: int,
     if C1 <= 0 or L < 1:
         raise ValueError("need C1 > 0 and L >= 1")
     e = _exp_pq(p, q)
-    if bound_kind == "lq":
+    if bound_kind == "lq_bounded":
         D = (C1 * L) ** (-p / q)
         beta = (C2 / (C1 * k**e)) ** (p / q)
     elif bound_kind == "dantzig":
@@ -197,29 +201,16 @@ def nsp_from_rub(C1: float, C2: float, k: float, p: float, q: float, L: int,
 # function evaluates both and insists on 1e-12 relative agreement.
 
 
-def _normalize_noise(noise):
-    kind = noise[0]
-    if kind == "lq":
-        return kind, float(noise[1]), None
-    if kind == "ds":
-        return kind, None, float(noise[1])
-    if kind == "both":
-        return kind, float(noise[1]), float(noise[2])
-    raise ValueError(f"unknown noise tag {noise[0]!r}")
-
-
-def _schatten_bound_first(C1, C2, k, p, q, L, r, kind, eta1, eta2, tail_norm):
+def _schatten_bound_first(C1, C2, k, p, q, L, r, noise, tail_norm):
     e = (1.0 / p - 0.5) * q
     rho1 = C1 - C2 * (1.0 / k) ** e
-    terms = []
+    terms = [2.0 / L ** (1.0 - 2.0 * q) * noise.eta1**q] if noise.has_lq else []
     if tail_norm == 0.0:
         if rho1 <= 0:
             raise ConditionViolated(f"rho1 = {rho1} <= 0: exact-rank condition fails")
         front = ((1.0 / k) ** e + 1.0) / (rho1 * L**q)
-        if kind in ("lq", "both"):
-            terms.append(2.0 / L ** (1.0 - 2.0 * q) * eta1**q)
-        if kind in ("ds", "both"):
-            terms.append(2.0 ** (q / p + q) / rho1 * r**e * eta2**q)
+        if noise.has_dantzig:
+            terms.append(2.0 ** (q / p + q) / rho1 * r**e * noise.eta2**q)
         return front * min(terms)
     rho2 = C1 - C2 * 2.0 ** (q / p - 1.0) * (1.0 / k) ** e
     if rho2 <= 0:
@@ -228,50 +219,48 @@ def _schatten_bound_first(C1, C2, k, p, q, L, r, kind, eta1, eta2, tail_norm):
         * (2.0 ** (2.0 * q / p - 1.0) * (1.0 / k) ** e + 1.0) \
         * (tail_norm / r ** (1.0 / p - 0.5)) ** q
     front = (2.0 ** (q / p - 1.0) * (1.0 / k) ** e + 1.0) / (rho2 * L**q)
-    if kind in ("lq", "both"):
-        terms.append(2.0 / L ** (1.0 - 2.0 * q) * eta1**q)
-    if kind in ("ds", "both"):
+    if noise.has_dantzig:
         if rho1 <= 0:
             raise ConditionViolated(f"rho1 = {rho1} <= 0: Dantzig term undefined")
-        terms.append(2.0 ** (2.0 * q / p + q + 1.0) / rho1 * r**e * eta2**q)
+        terms.append(2.0 ** (2.0 * q / p + q + 1.0) / rho1 * r**e * noise.eta2**q)
     return tail_term + front * min(terms)
 
 
-def _schatten_bound_second(C1, C2, k, p, q, L, r, kind, eta1, eta2, tail_norm):
+def _schatten_bound_second(C1, C2, k, p, q, L, r, noise, tail_norm):
     # Independent transcription: powers through exp/log, factors regrouped.
     e = math.exp(math.log(k) * (0.5 - 1.0 / p) * q)  # k^{-(1/p-1/2)q}
     rho1 = C1 - C2 * e
-    terms = []
+    terms = [2.0 * noise.eta1**q * L ** (2.0 * q - 1.0)] if noise.has_lq else []
     if tail_norm == 0.0:
         if rho1 <= 0:
             raise ConditionViolated("rho1 <= 0")
-        if kind in ("lq", "both"):
-            terms.append(2.0 * eta1**q * L ** (2.0 * q - 1.0))
-        if kind in ("ds", "both"):
-            terms.append(math.exp(math.log(2.0) * (q / p + q)) * (eta2**q)
+        if noise.has_dantzig:
+            terms.append(math.exp(math.log(2.0) * (q / p + q)) * noise.eta2**q
                          * r ** ((1.0 / p - 0.5) * q) / rho1)
         return (e + 1.0) * min(terms) / (rho1 * L**q)
     two_qp1 = math.exp(math.log(2.0) * (q / p - 1.0))
     rho2 = C1 - C2 * two_qp1 * e
     if rho2 <= 0:
         raise ConditionViolated("rho2 <= 0")
-    if kind in ("ds", "both") and rho1 <= 0:
+    if noise.has_dantzig and rho1 <= 0:
         raise ConditionViolated("rho1 <= 0")
     two_2qp1 = math.exp(math.log(2.0) * (2.0 * q / p - 1.0))
     scaled_tail = math.exp(q * (math.log(tail_norm) - (1.0 / p - 0.5) * math.log(r))) \
         if tail_norm > 0 else 0.0
     tail_term = (C2 * two_2qp1 * e / rho2 + 1.0) * (two_2qp1 * e + 1.0) * scaled_tail
-    if kind in ("lq", "both"):
-        terms.append(2.0 * eta1**q * L ** (2.0 * q - 1.0))
-    if kind in ("ds", "both"):
-        terms.append(4.0 * two_2qp1 * (2.0**q) * r ** ((1.0 / p - 0.5) * q) * eta2**q / rho1)
+    if noise.has_dantzig:
+        terms.append(4.0 * two_2qp1 * (2.0**q) * r ** ((1.0 / p - 0.5) * q)
+                     * noise.eta2**q / rho1)
     return tail_term + (two_qp1 * e + 1.0) * min(terms) / (rho2 * L**q)
 
 
-def stability_bound_schatten(C1, C2, k, p, q, L, r, noise, tail_norm=0.0) -> float:
+def stability_bound_schatten(C1, C2, k, p, q, L, r, noise: NoiseSpec,
+                             tail_norm=0.0) -> float:
     """Theoretical bound on ||Xhat - X||_{S_2}^q for the Schatten-p program.
 
-    ``noise`` is ('lq', eta1), ('ds', eta2) or ('both', eta1, eta2); the
+    ``noise`` is the noise set the program was solved over: the lq kind
+    (whose q must be the RUB exponent q), the Dantzig kind or their
+    intersection; with both constraints the tighter term applies.  The
     exact-rank branch applies when tail_norm == 0 and the general branch
     otherwise.  Raises ConditionViolated when the applicable rho is
     nonpositive.
@@ -279,9 +268,12 @@ def stability_bound_schatten(C1, C2, k, p, q, L, r, noise, tail_norm=0.0) -> flo
     _check_pq(p, q)
     if C1 <= 0 or L < 1 or r < 1 or tail_norm < 0:
         raise ValueError("invalid bound arguments")
-    kind, eta1, eta2 = _normalize_noise(noise)
-    a = _schatten_bound_first(C1, C2, k, p, q, L, r, kind, eta1, eta2, tail_norm)
-    b = _schatten_bound_second(C1, C2, k, p, q, L, r, kind, eta1, eta2, tail_norm)
+    if noise.kind == "none":
+        raise ValueError("the stability bound needs a noise set, not kind 'none'")
+    if noise.has_lq and noise.q != q:
+        raise ValueError(f"the lq noise set's q={noise.q} is not the bound's q={q}")
+    a = _schatten_bound_first(C1, C2, k, p, q, L, r, noise, tail_norm)
+    b = _schatten_bound_second(C1, C2, k, p, q, L, r, noise, tail_norm)
     if abs(a - b) > 1e-12 * max(1.0, abs(a)):
         raise AssertionError(f"bound transcriptions disagree: {a} vs {b}")
     return a

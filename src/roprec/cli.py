@@ -44,7 +44,7 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-# --constraint names of the noise-set kinds.
+# --constraint names: aliases of the noise-set kinds (measure.NOISE_KINDS).
 _CONSTRAINTS = {"eq": "none", "lq": "lq_bounded", "ds": "dantzig", "both": "intersection"}
 
 
@@ -76,13 +76,15 @@ def _cmd_recover(args) -> int:
 
 def _cmd_certify(args) -> int:
     ens = fileio.read_ensemble(args.ensemble)
-    order = int(round((args.k + 1) * args.r))
+    order = certify.rub_order(args.k, args.r)
+    noise = None if args.eta1 is None else NoiseSpec(kind="lq_bounded", q=args.q,
+                                                     eta1=args.eta1)
     est = certify.estimate_rub(ens, order, args.q, args.trials, seed=args.seed)
     exact = certify.check_exact_condition(est.C1_hat, est.C2_hat, args.k, args.p, args.q)
     general = certify.check_general_condition(est.C1_hat, est.C2_hat, args.k, args.p, args.q)
     dlb, dsub = certify.rip_from_rub(est.C1_hat, est.C2_hat)
     nsp = certify.nsp_from_rub(est.C1_hat, est.C2_hat, args.k, args.p, args.q,
-                               ens.L, "lq", r=args.r)
+                               ens.L, "lq_bounded", r=args.r)
     payload = {
         "caveat": "inner estimates: C1_hat >= C1*, C2_hat <= C2*; checks are optimistic",
         "C1_hat": est.C1_hat,
@@ -98,10 +100,10 @@ def _cmd_certify(args) -> int:
         "nsp_beta1": nsp.beta,
         "nsp_valid": nsp.valid,
     }
-    if args.eta1 is not None and exact:
+    if noise is not None and exact:
         payload["bound_lq_exact_rank"] = certify.stability_bound_schatten(
             est.C1_hat, est.C2_hat, args.k, args.p, args.q, ens.L, args.r,
-            ("lq", args.eta1), tail_norm=args.tail)
+            noise, tail_norm=args.tail)
     fileio.write_report(args.out, payload)
     return 0
 
@@ -150,11 +152,11 @@ def _experiment_cfg(args) -> harness.ExperimentConfig:
     given = vars(args)
     names = {field.name for field in dataclasses.fields(harness.ExperimentConfig)}
     cfg = harness.ExperimentConfig(**{k: v for k, v in given.items() if k in names})
-    noise_kind = given.get("noise_kind", cfg.noise.kind)
-    noise = NoiseSpec(kind=noise_kind,
-                      q=cfg.q if noise_kind in ("lq_bounded", "intersection") else None,
+    noise = NoiseSpec(kind=given.get("noise_kind", cfg.noise.kind), q=cfg.q,
                       eta1=given.get("eta1"), eta2=given.get("eta2"))
-    return dataclasses.replace(cfg, noise=noise)
+    # only the lq constraint reads q; a set without it keeps q unset
+    return dataclasses.replace(cfg, noise=noise if noise.has_lq
+                               else dataclasses.replace(noise, q=None))
 
 
 def _cmd_experiment(args) -> int:
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--noise-kind", default="none",
-                   choices=["none", "lq_bounded", "dantzig", "intersection"])
+                   choices=measure.NOISE_KINDS)
     p.add_argument("--q", type=float, default=None)
     p.add_argument("--eta1", type=float, default=None)
     p.add_argument("--eta2", type=float, default=None)

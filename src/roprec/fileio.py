@@ -90,9 +90,10 @@ def read_ensemble(path) -> RopEnsemble:
             gammas[j] = [float(t) for t in parts[m + 2:]]
         except ValueError as exc:
             raise ParseError(f"{path}: line {j + 2}: bad float") from exc
-    if sym:
-        return RopEnsemble(betas=betas, gammas=betas, symmetric=True)
-    return RopEnsemble(betas=betas, gammas=gammas, symmetric=False)
+    try:  # a symmetric ensemble checks that its gammas equal its betas
+        return RopEnsemble(betas=betas, gammas=gammas, symmetric=bool(sym))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # -- measurements: "MEAS L", then L floats one per line ---------------------

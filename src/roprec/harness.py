@@ -152,6 +152,7 @@ def _bound_check_cells(cfg: ExperimentConfig):
     if not cfg.eta1_values:
         raise ValueError("the bound check needs an eta1 sweep: set --eta1 or --eta1-values")
     r, L = _one_cell(cfg, _Ls(cfg, cfg.ranks[0]))
+    certify.rub_order(cfg.k, r)  # a bad k fails here, before any trial runs
     return [((ei,), (r, L, float(eta1))) for ei, eta1 in enumerate(cfg.eta1_values)]
 
 
@@ -163,7 +164,7 @@ def _bound_check_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
     """
     r, L, eta1 = cell
     ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)
-    est = certify.estimate_rub(ens, int(round((cfg.k + 1) * r)), cfg.q, cfg.rub_trials,
+    est = certify.estimate_rub(ens, certify.rub_order(cfg.k, r), cfg.q, cfg.rub_trials,
                                seed=seed)
     certified = certify.check_exact_condition(est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q)
     X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="s2")
@@ -174,7 +175,7 @@ def _bound_check_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
     bound = float("nan")
     if certified:
         bound = certify.stability_bound_schatten(
-            est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q, L, r, ("lq", eta1), tail_norm=0.0)
+            est.C1_hat, est.C2_hat, cfg.k, cfg.p, cfg.q, L, r, noise_spec, tail_norm=0.0)
     return [eta1, t, int(certified), est.C1_hat, est.C2_hat, observed, bound,
             int(certified and observed > bound), seed]
 

@@ -21,8 +21,6 @@ import threading
 
 import numpy as np
 
-# Singular values below RANK_TOL * sigma_max count as zero for rank purposes.
-RANK_TOL = 1e-10
 # Symmetry tolerance of spectahedron_project, relative to max(1, max |X|).
 _SYM_TOL = 1e-8
 
@@ -78,14 +76,6 @@ def singular_values(X) -> np.ndarray:
         return np.linalg.svd(X, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SvdError(f"SVD did not converge for shape {X.shape}: {exc}") from exc
-
-
-def numerical_rank(sigma: np.ndarray) -> int:
-    """Count of singular values above ``RANK_TOL * sigma_max``."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_TOL * sigma[0]))
 
 
 def schatten_norm(X, p: float) -> float:

@@ -5,8 +5,9 @@ matrices A_j = beta_j gamma_j^T are never materialized by apply/adjoint,
 which run in O(L(m+n)) flops.  ``RopEnsemble`` is the only operator type:
 the debiased SROP map is the difference of two symmetric half-ensembles
 (see ``debias``).  ``gram`` forms the L x L Gram <A_i, A_j> without any
-A_j.  The two bounded-noise models and the explicit (L, m*n) operator
-(for the injective-map check and as a test oracle) live here too.
+A_j.  ``NoiseSpec``, the one noise-set spec that noise draws, feasibility
+checks, solvers and bounds read, and the explicit (L, m*n) operator (for
+the injective-map check and as a test oracle) live here too.
 
 Randomness uses the Philox counter-based generator with a 64-bit seed and
 a per-measurement substream keyed by (seed, j), so ensembles reproduce
@@ -39,7 +40,7 @@ class RopEnsemble:
     """L rank-one measurement pairs defining a linear map R^{m x n} -> R^L.
 
     ``betas`` is (L, m), ``gammas`` is (L, n).  In symmetric (SROP) mode
-    gammas is the same array as betas and m == n.
+    m == n and gammas equals betas.
     """
 
     betas: np.ndarray
@@ -70,26 +71,39 @@ class RopEnsemble:
         return self.betas.shape[0]
 
 
+# The noise sets B of b - A(X): {0}, the lq ball, the Dantzig set and both.
+NOISE_KINDS = ("none", "lq_bounded", "dantzig", "intersection")
+
+
 @dataclasses.dataclass(frozen=True)
 class NoiseSpec:
-    """Noise model: none, lq-bounded, Dantzig-selector bounded, or both."""
+    """Noise set; ``has_lq`` / ``has_dantzig`` say which of the constraints
+    ||z||_q / L <= eta1 and ||A*(z)||_op <= eta2 its kind carries."""
 
-    kind: str  # none | lq_bounded | dantzig | intersection
+    kind: str  # one of NOISE_KINDS
     q: float | None = None
     eta1: float | None = None
     eta2: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "lq_bounded", "dantzig", "intersection"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind in ("lq_bounded", "intersection"):
+        if self.has_lq:
             if self.q is None or not (0 < self.q <= 1):
                 raise ValueError("lq-bounded noise requires q in (0, 1]")
             if self.eta1 is None or self.eta1 < 0:
                 raise ValueError("lq-bounded noise requires eta1 >= 0")
-        if self.kind in ("dantzig", "intersection"):
+        if self.has_dantzig:
             if self.eta2 is None or self.eta2 < 0:
                 raise ValueError("Dantzig noise requires eta2 >= 0")
+
+    @property
+    def has_lq(self) -> bool:
+        return self.kind in ("lq_bounded", "intersection")
+
+    @property
+    def has_dantzig(self) -> bool:
+        return self.kind in ("dantzig", "intersection")
 
 
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
@@ -201,10 +215,10 @@ def generate_noise(spec: NoiseSpec, ens, seed: int = 0) -> np.ndarray:
         return np.zeros(L)
     z = _substream(seed, _STREAM_NOISE, 0).standard_normal(L)
     scales = []
-    if spec.kind in ("lq_bounded", "intersection"):
+    if spec.has_lq:
         nrm = lq_norm(z, spec.q)
         scales.append(0.0 if nrm == 0 else L * spec.eta1 / nrm)
-    if spec.kind in ("dantzig", "intersection"):
+    if spec.has_dantzig:
         opnorm = singular_values(adjoint_map(ens, z))[0]
         scales.append(0.0 if opnorm == 0 else spec.eta2 / opnorm)
     return z * min(scales)
@@ -222,9 +236,9 @@ def check_feasible(spec: NoiseSpec, ens, residual, tol: float = 0.0):
     if spec.kind == "none":
         slacks["equality"] = -float(np.max(np.abs(residual), initial=0.0))
         return slacks["equality"] >= -tol, slacks
-    if spec.kind in ("lq_bounded", "intersection"):
+    if spec.has_lq:
         slacks["lq"] = spec.eta1 - lq_norm(residual, spec.q) / ens.L
-    if spec.kind in ("dantzig", "intersection"):
+    if spec.has_dantzig:
         opnorm = singular_values(adjoint_map(ens, residual))[0]
         slacks["dantzig"] = spec.eta2 - opnorm
     return all(s >= -tol for s in slacks.values()), slacks

@@ -465,9 +465,9 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
 def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
     """Schatten-p minimization over a noise set, then a feasibility polish."""
     blocks = []
-    if noise.kind in ("lq_bounded", "intersection"):
+    if noise.has_lq:
         blocks.append((False, lambda s: project_lq_ball(s, op.L * noise.eta1, noise.q)))
-    if noise.kind in ("dantzig", "intersection"):
+    if noise.has_dantzig:
         blocks.append((True, lambda S: project_spectral_ball(S, noise.eta2)))
     X0 = np.asarray(X0, dtype=float) if X0 is not None else A.pinv(b)
     # the trace entry ||Z||_{S_p}^p sums the shrunk singular values' powers
@@ -485,12 +485,12 @@ def _feasibility_polish(op, A: _GramMap, b, X, noise: NoiseSpec):
         ok, _ = measure.check_feasible(noise, op, s, tol=_FEASIBILITY_TOL)
         if ok or rounds == 25:
             return X, ok
-        if noise.kind in ("lq_bounded", "intersection"):
+        if noise.has_lq:
             # shrink strictly inside to leave slack for the later DS step
             target = project_lq_ball(s, op.L * noise.eta1, noise.q) * (1.0 - 1e-9)
             X = X + A.pinv(s - target)
             s = b - A.apply(X)
-        if noise.kind in ("dantzig", "intersection"):
+        if noise.has_dantzig:
             y_cur = A.adjoint(s)
             y_tgt = project_spectral_ball(y_cur, noise.eta2 * (1.0 - 1e-9))
             X = X + A.solve(A.apply(y_cur - y_tgt), power=2)
@@ -519,17 +519,14 @@ def _unique_feasible_point(op, b):
     minimizer for every p, so one least-squares solve stands in for IRLS.
     If b is not in the range of A the point is the least-squares fit, and
     the equality slack reports the miss.  A rank-deficient map (a
-    symmetric ensemble has rank at most m(m+1)/2) or one too large to
-    build explicitly gives None.
+    symmetric ensemble has rank at most m(m+1)/2) gives None.  Past the
+    explicit-operator cap the ResourceError stands, as L >= mn > 4096
+    puts IRLS's Gram past its cap too.
     """
     mn = op.m * op.n
     if op.L < mn:
         return None
-    try:
-        M = measure.explicit_operator(op)
-    except measure.ResourceError:
-        return None
-    x, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(measure.explicit_operator(op), b, rcond=None)
     return x.reshape(op.m, op.n) if rank == mn else None
 
 

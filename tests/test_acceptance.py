@@ -12,6 +12,7 @@ import pytest
 
 from roprec import certify, harness, linalg, measure, solvers
 from roprec.harness import ExperimentConfig
+from roprec.measure import NoiseSpec
 from roprec.solvers import SolverConfig
 
 from _oracles import rank1_fit_objective_2x2
@@ -173,9 +174,10 @@ def test_criterion_06_bound_verification():
         L = int(rng.integers(10, 2000))
         r = int(rng.integers(1, 5))
         tail = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
-        noise = (("lq", rng.uniform(0.0, 1.0)),
-                 ("ds", rng.uniform(0.0, 1.0)),
-                 ("both", rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))[
+        eta1, eta2, both1, both2 = (rng.uniform(0.0, 1.0) for _ in range(4))
+        noise = (NoiseSpec(kind="lq_bounded", q=q, eta1=eta1),
+                 NoiseSpec(kind="dantzig", eta2=eta2),
+                 NoiseSpec(kind="intersection", q=q, eta1=both1, eta2=both2))[
                      int(rng.integers(3))]
         try:
             certify.stability_bound_schatten(C1, C2, k, p, q, L, r, noise,

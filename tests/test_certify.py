@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roprec import certify, measure
+from roprec.measure import NoiseSpec
 
 rng = np.random.default_rng(2024)
 
@@ -98,11 +99,12 @@ def test_general_condition_huge_ratio_fails():
 
 
 def test_validate_k():
-    certify.validate_k(2.5, 2)
+    assert certify.rub_order(2.5, 2) == 7
+    assert certify.rub_order(10, 1) == 11
     with pytest.raises(ValueError):
-        certify.validate_k(2.5, 3)
+        certify.rub_order(2.5, 3)
     with pytest.raises(ValueError):
-        certify.validate_k(0.5, 2)
+        certify.rub_order(0.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_rip_corollary_checks():
 
 
 def test_nsp_lq_reference_values():
-    nsp = certify.nsp_from_rub(0.32, 1.01, 10, 1.0, 1.0, 100, "lq")
+    nsp = certify.nsp_from_rub(0.32, 1.01, 10, 1.0, 1.0, 100, "lq_bounded")
     assert nsp.D == pytest.approx(1.0 / 32.0)
     assert nsp.beta == pytest.approx(1.01 / (0.32 * math.sqrt(10.0)), abs=1e-9)
     assert nsp.beta == pytest.approx(0.99810, abs=1e-5)
@@ -149,12 +151,12 @@ def test_nsp_lq_reference_values():
 
 
 def test_nsp_beta_vanishes_with_C2():
-    nsp = certify.nsp_from_rub(0.5, 0.0, 10, 0.5, 1.0, 50, "lq")
+    nsp = certify.nsp_from_rub(0.5, 0.0, 10, 0.5, 1.0, 50, "lq_bounded")
     assert nsp.beta == 0.0
 
 
 def test_nsp_p_equals_q_simplification():
-    nsp = certify.nsp_from_rub(0.4, 0.5, 9, 0.7, 0.7, 200, "lq")
+    nsp = certify.nsp_from_rub(0.4, 0.5, 9, 0.7, 0.7, 200, "lq_bounded")
     assert nsp.D == pytest.approx(1.0 / (0.4 * 200))
 
 
@@ -165,7 +167,7 @@ def test_nsp_beta_validity_matches_exact_condition():
         p = rng.uniform(0.2, 1.0)
         q = rng.uniform(p, 1.0)
         k = rng.uniform(1.5, 20.0)
-        nsp = certify.nsp_from_rub(C1, C2, k, p, q, 100, "lq")
+        nsp = certify.nsp_from_rub(C1, C2, k, p, q, 100, "lq_bounded")
         assert nsp.valid == certify.check_exact_condition(C1, C2, k, p, q)
 
 
@@ -180,15 +182,19 @@ def test_nsp_dantzig_depends_on_rank():
 # bound formulas
 
 
+def _lq(q, eta1):
+    return NoiseSpec(kind="lq_bounded", q=q, eta1=eta1)
+
+
 def test_schatten_bound_noiseless_exact_rank_is_zero():
     out = certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 100, 2,
-                                           ("lq", 0.0), tail_norm=0.0)
+                                           _lq(1.0, 0.0), tail_norm=0.0)
     assert out == 0.0
 
 
 def test_schatten_bound_reference_point():
     bound = certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 1000, 2,
-                                             ("lq", 0.01))
+                                             _lq(1.0, 0.01))
     rho1 = 0.32 - 1.01 / math.sqrt(10.0)
     expected = (1.0 / math.sqrt(10.0) + 1.0) / (rho1 * 1000.0) * 2.0 * 1000.0 * 0.01
     assert bound == pytest.approx(expected, rel=1e-12)
@@ -196,21 +202,43 @@ def test_schatten_bound_reference_point():
 
 def test_schatten_bound_homogeneous_in_eta():
     base = certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 500, 1,
-                                            ("lq", 0.02))
+                                            _lq(1.0, 0.02))
     doubled = certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 500, 1,
-                                               ("lq", 0.04))
+                                               _lq(1.0, 0.04))
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_schatten_bound_condition_violated():
     with pytest.raises(certify.ConditionViolated):
-        certify.stability_bound_schatten(0.1, 1.0, 4, 1.0, 1.0, 100, 1, ("lq", 0.1))
+        certify.stability_bound_schatten(0.1, 1.0, 4, 1.0, 1.0, 100, 1, _lq(1.0, 0.1))
 
 
 def test_schatten_bound_general_branch_runs():
-    out = certify.stability_bound_schatten(0.9, 1.0, 25, 0.5, 0.5, 200, 2,
-                                           ("both", 0.01, 0.05), tail_norm=0.3)
+    both = NoiseSpec(kind="intersection", q=0.5, eta1=0.01, eta2=0.05)
+    out = certify.stability_bound_schatten(0.9, 1.0, 25, 0.5, 0.5, 200, 2, both,
+                                           tail_norm=0.3)
     assert out > 0.0
+
+
+def test_schatten_bound_rejects_kind_none():
+    with pytest.raises(ValueError, match="none"):
+        certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 100, 2,
+                                         NoiseSpec(kind="none"))
+
+
+@pytest.mark.parametrize("kind", ["lq_bounded", "intersection"])
+def test_schatten_bound_rejects_an_lq_set_of_another_q(kind):
+    noise = NoiseSpec(kind=kind, q=0.5, eta1=0.01, eta2=0.05)
+    with pytest.raises(ValueError, match="q=0.5"):
+        certify.stability_bound_schatten(0.32, 1.01, 10, 1.0, 1.0, 100, 2, noise)
+
+
+def test_schatten_bound_dantzig_takes_its_q_from_the_bound():
+    # the Dantzig set carries no q: the RUB exponent alone sets the power of eta2
+    ds = NoiseSpec(kind="dantzig", eta2=0.05)
+    a = certify.stability_bound_schatten(0.9, 1.0, 25, 0.5, 0.5, 200, 2, ds)
+    b = certify.stability_bound_schatten(0.9, 1.0, 25, 0.5, 1.0, 200, 2, ds)
+    assert a > 0.0 and b > 0.0 and a != b
 
 
 def test_leastq_bound_zero_inputs():

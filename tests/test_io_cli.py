@@ -51,6 +51,21 @@ def test_symmetric_ensemble_round_trip(tmp_path):
     back = fileio.read_ensemble(path)
     assert back.symmetric
     assert np.array_equal(back.betas, ens.betas)
+    assert np.array_equal(back.gammas, ens.gammas)
+
+
+def test_symmetric_ensemble_with_other_gammas_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "sens.txt"
+    path.write_text("ROP 2 2 2 1\nbeta: 1.0 0.0 gamma: 5.0 7.0\n"
+                    "beta: 0.0 1.0 gamma: 0.0 1.0\n")
+    with pytest.raises(fileio.ParseError, match="sens.txt"):
+        fileio.read_ensemble(path)
+    fileio.write_matrix(tmp_path / "x.txt", np.eye(2))
+    assert cli.main(["measure", "--ensemble", str(path), "--matrix", str(tmp_path / "x.txt"),
+                     "--out", str(tmp_path / "b.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "b.txt").exists()
 
 
 def test_measurements_round_trip(tmp_path):
@@ -128,6 +143,35 @@ def test_cli_certify(tmp_path):
     cert = json.loads(out.read_text())
     assert cert["C1_hat"] <= cert["C2_hat"]
     assert "optimistic" in cert["caveat"]
+
+
+@pytest.mark.parametrize("extra", [["--k", "2.5"],
+                                   ["--q", "0.5", "--eta1", "-0.01"],
+                                   ["--q", "1", "--eta1", "-0.01"]])
+def test_cli_certify_bad_input_exits_2_without_a_report(tmp_path, capsys, extra):
+    # k*r must be an integer, and eta1 must be >= 0 as in any lq noise set;
+    # with eta1 = 0.01 in place of -0.01 the bound is computed at both q
+    ens_path = tmp_path / "ens.txt"
+    assert cli.main(["sample", "--m", "6", "--n", "6", "--L", "120",
+                     "--seed", "1", "--out", str(ens_path)]) == 0
+    out = tmp_path / "cert.json"
+    assert cli.main(["certify", "--ensemble", str(ens_path), "--r", "1", "--k", "5",
+                     "--p", "0.5", "--trials", "20", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_bound_check_rejects_k_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness.certify, "estimate_rub", no_trial)
+    assert cli.main(["bound-check", "--m", "4", "--n", "4", "--r", "1", "--L", "30",
+                     "--k", "2.5", "--eta1", "0.01", "--trials", "1",
+                     "--out", str(tmp_path / "bc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k*r must be a positive integer") and err.count("\n") == 1
 
 
 def test_cli_parse_error_exit_code(tmp_path):

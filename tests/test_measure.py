@@ -307,3 +307,12 @@ def test_feasibility_matches_recomputation():
     assert slacks["lq"] == pytest.approx(0.4 - lq, abs=1e-12)
     assert slacks["dantzig"] == pytest.approx(2.0 - opnorm, abs=1e-9)
     assert ok == (lq <= 0.4 and opnorm <= 2.0)
+
+
+@pytest.mark.parametrize("kind", ["none", "lq_bounded", "dantzig", "intersection"])
+def test_noise_kind_constraints_match_feasibility_slacks(kind):
+    spec = NoiseSpec(kind=kind, q=0.5, eta1=0.1, eta2=0.2)
+    _, slacks = measure.check_feasible(spec, _random_ensemble(3, 3, 6), rng.standard_normal(6))
+    assert ("lq" in slacks) == spec.has_lq
+    assert ("dantzig" in slacks) == spec.has_dantzig
+    assert ("equality" in slacks) == (kind == "none")

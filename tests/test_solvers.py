@@ -493,25 +493,13 @@ def test_injective_inconsistent_measurements_report_slack():
     assert np.allclose(report.estimate.ravel(), x_ls, rtol=0, atol=1e-12)
 
 
-def test_injective_check_falls_back_to_irls_past_explicit_cap(monkeypatch):
-    def capped(op):
-        raise measure.ResourceError("explicit operator over the cap")
-
-    calls = []
-    irls = solvers._irls_equality
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return irls(*args, **kwargs)
-
-    monkeypatch.setattr(measure, "explicit_operator", capped)
-    monkeypatch.setattr(solvers, "_irls_equality", spy)
-    ens, X0, b = _planted(5, 5, 1, 60, seed=9)
-    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=1.0, max_iterations=300))
-    assert calls == [1]
-    assert report.iterations_used > 1
-    assert np.linalg.norm(report.estimate - X0) <= 1e-8
+def test_injective_check_past_explicit_cap_raises_resource_error():
+    # m*n = 4225 is past the explicit-operator cap, and so is the L = 4225
+    # Gram IRLS would form: the size check raises before any allocation
+    ens, _, b = _planted(65, 65, 1, 65 * 65, seed=9)
+    with pytest.raises(measure.ResourceError, match="explicit operator"):
+        solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                    SolverConfig(p=1.0, max_iterations=5))
 
 
 # ---------------------------------------------------------------------------
