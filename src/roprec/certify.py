@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .measure import NoiseSpec, apply_map, _substream
+from .measure import NoiseSpec, apply_map, _substreams
 from .linalg import _single_blas_thread, rank_split, schatten_norm
 
 _STREAM_RUB = 3
@@ -78,8 +78,7 @@ def estimate_rub(op, r: int, q: float, trials: int, seed: int = 0) -> RubEstimat
     if r < 1 or r > min(m, n):
         raise ValueError(f"rank order {r} out of range for ({m}, {n})")
     ratios = np.empty(trials)
-    for t in range(trials):
-        rng = _substream(seed, _STREAM_RUB, t)
+    for t, rng in enumerate(_substreams(seed, _STREAM_RUB, trials)):
         X = _rank_r_sample(m, n, r, rng)
         ratios[t] = np.sum(np.abs(apply_map(op, X)) ** q) / L
     return RubEstimate(q=q, r=r, C1_hat=float(ratios.min()),

@@ -6,13 +6,14 @@ experiment subcommands write CSV and take one flag per
 ``harness.ExperimentConfig`` field, spelt with ``_`` or ``-`` (grid fields
 take space- or comma-separated lists), plus ``--r``, ``--L`` and
 ``--eta1`` for one-element grids and ``--noise-kind``/``--eta2`` for the
-noise set; unset values take the dataclass defaults.  ``--config FILE``
-reads ``key = value`` lines as leading ``--key=value`` flags, so
-command-line flags win and an unknown key is an error.  Exit code is 0 on
-a completed run; 2, with a one-line ``error:`` message, on config, parse
-or file errors and on a grid an experiment cannot run (a parse error
-names the config file when a line of it is at fault); and 3, with one
-``ClassName: message`` line, when a solve or size is beyond roprec.
+noise set, of the noise flags only those the kind reads; unset values
+take the dataclass defaults.  ``--config FILE`` reads ``key = value``
+lines as leading ``--key=value`` flags, so command-line flags win and an
+unknown key is an error.  Exit code is 0 on a completed run; 2, with a
+one-line ``error:`` message, on config, parse or file errors and on a
+grid an experiment cannot run (a parse error names the config file when
+a line of it is at fault); and 3, with one ``ClassName: message`` line,
+when a solve or size is beyond roprec.
 """
 
 from __future__ import annotations
@@ -125,10 +126,14 @@ class _Eta1(argparse.Action):
         namespace.eta1, namespace.eta1_values = value, (value,)
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per ExperimentConfig field but the noise set, which has its own."""
+def _add_experiment_flags(p: argparse.ArgumentParser, kind: str) -> None:
+    """One flag per ExperimentConfig field but the noise set, which has its own,
+    and of the noise flags only those that ``kind`` reads, so the others are
+    unrecognized arguments: --eta1 sets both noise fields, so a kind that
+    reads either takes it and --eta1-values."""
+    reads = harness.KINDS[kind].noise_fields
     for field in dataclasses.fields(harness.ExperimentConfig):
-        if field.name in ("kind", "noise"):
+        if field.name in ("kind", "noise") or (field.name == "eta1_values" and not reads):
             continue
         if "tuple" in str(field.type):
             cast = _grid
@@ -140,10 +145,12 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                        help=None if required else f"default: {field.default}")
     p.add_argument("--r", dest="ranks", type=_one_int, help="one-element ranks")
     p.add_argument("--L", dest="Ls", type=_one_int, help="one-element Ls")
-    p.add_argument("--eta1", type=float, action=_Eta1,
-                   help="noise eta1 and one-element eta1_values")
-    p.add_argument("--eta2", type=float)
-    p.add_argument("--noise-kind", "--noise_kind", dest="noise_kind")
+    if reads:
+        p.add_argument("--eta1", type=float, action=_Eta1,
+                       help="noise eta1 and one-element eta1_values")
+    if "noise" in reads:
+        p.add_argument("--eta2", type=float)
+        p.add_argument("--noise-kind", "--noise_kind", dest="noise_kind")
     p.add_argument("--config", help="key = value lines, read as leading --key=value flags")
 
 
@@ -173,65 +180,83 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Subcommand names; the experiment subcommands are the KINDS spelt with "-".
+_COMMANDS = ("sample", "measure", "recover", "certify",
+             *(kind.replace("_", "-") for kind in harness.KINDS))
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The roprec parser; given a subcommand's name, with that subparser alone.
+
+    A subparser's help and errors do not depend on its siblings, and each
+    ``add_argument`` costs a help formatter, so one invocation builds only
+    what it parses.
+    """
     parser = _Parser(prog="roprec", description="Low-rank recovery from rank-one projections")
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = _COMMANDS if command is None else (command,)
 
-    p = sub.add_parser("sample", help="draw a Gaussian ROP ensemble")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
+    if "sample" in wanted:
+        p = sub.add_parser("sample", help="draw a Gaussian ROP ensemble")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--L", type=int, required=True)
+        p.add_argument("--symmetric", action="store_true")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("measure", help="apply an ensemble to a matrix, plus noise")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--noise-kind", default="none",
-                   choices=measure.NOISE_KINDS)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--eta1", type=float, default=None)
-    p.add_argument("--eta2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_measure)
+    if "measure" in wanted:
+        p = sub.add_parser("measure", help="apply an ensemble to a matrix, plus noise")
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--noise-kind", default="none",
+                       choices=measure.NOISE_KINDS)
+        p.add_argument("--q", type=float, default=None)
+        p.add_argument("--eta1", type=float, default=None)
+        p.add_argument("--eta2", type=float, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("recover", help="solve a recovery program")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--measurements", required=True)
-    p.add_argument("--method", default="schatten-p", choices=harness.METHODS)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--constraint", default="eq", choices=sorted(_CONSTRAINTS))
-    p.add_argument("--eta1", type=float, default=None)
-    p.add_argument("--eta2", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--truth", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--matrix-out", default=None)
-    p.set_defaults(func=_cmd_recover)
+    if "recover" in wanted:
+        p = sub.add_parser("recover", help="solve a recovery program")
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--measurements", required=True)
+        p.add_argument("--method", default="schatten-p", choices=harness.METHODS)
+        p.add_argument("--p", type=float, default=1.0)
+        p.add_argument("--q", type=float, default=1.0)
+        p.add_argument("--constraint", default="eq", choices=sorted(_CONSTRAINTS))
+        p.add_argument("--eta1", type=float, default=None)
+        p.add_argument("--eta2", type=float, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-iterations", type=int, default=2000)
+        p.add_argument("--truth", default=None)
+        p.add_argument("--out", required=True)
+        p.add_argument("--matrix-out", default=None)
+        p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("certify", help="estimate RUB constants and conditions")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--k", type=float, default=10.0)
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--eta1", type=float, default=None)
-    p.add_argument("--tail", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_certify)
+    if "certify" in wanted:
+        p = sub.add_parser("certify", help="estimate RUB constants and conditions")
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--r", type=int, required=True)
+        p.add_argument("--q", type=float, default=1.0)
+        p.add_argument("--k", type=float, default=10.0)
+        p.add_argument("--p", type=float, default=1.0)
+        p.add_argument("--trials", type=int, default=200)
+        p.add_argument("--eta1", type=float, default=None)
+        p.add_argument("--tail", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_certify)
 
     for kind in harness.KINDS:
         name = kind.replace("_", "-")
+        if name not in wanted:
+            continue
         p = sub.add_parser(name, help=f"run a {name} experiment", allow_abbrev=False,
                            argument_default=argparse.SUPPRESS)
-        _add_experiment_flags(p)
+        _add_experiment_flags(p, kind)
         p.set_defaults(func=_cmd_experiment, kind=kind)
 
     return parser
@@ -239,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse(argv: list):
     """(namespace, None) when argv parses, else (None, argparse's message)."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        return build_parser().parse_args(argv), None
+        return build_parser(command).parse_args(argv), None
     except _UsageError as exc:
         return None, str(exc)
 

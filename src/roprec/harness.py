@@ -7,9 +7,10 @@ each CSV row carries the seed needed to replay that single trial.
 
 ``KINDS`` gives each experiment kind its CSV header, its cells (each with
 the index tuple that keys its trial seeds), a pure ``trial(cfg, cell, t,
-seed) -> row`` and, for the phase transition, a reduction of a cell's
-trials to one row; ``run_experiment`` is the one loop over them.  Kinds
-whose rows carry neither r nor L run one (r, L) cell and reject a wider grid.
+seed) -> row``, for the phase transition a reduction of a cell's trials
+to one row, and the noise fields its trials read; ``run_experiment`` is
+the one loop over them.  Kinds whose rows carry neither r nor L run one
+(r, L) cell and reject a wider grid.
 """
 
 from __future__ import annotations
@@ -236,6 +237,9 @@ class _Kind:
     cells: Callable  # cfg -> [(index tuple, cell)]; the index keys the trial seeds
     trial: Callable  # (cfg, cell, t, seed) -> row
     reduce: Callable | None = None  # (cfg, cell, trial rows) -> the cell's one row
+    # the noise fields of ExperimentConfig its trials read: "noise" (the set
+    # the noise is drawn onto and solved over) and "eta1_values" (a sweep)
+    noise_fields: tuple = ()
 
 
 KINDS = {
@@ -244,11 +248,11 @@ KINDS = {
          "median_error", "mean_iterations", "trial_seed"),
         lambda cfg: [((ci, li), (r, L)) for ci, r in enumerate(cfg.ranks)
                      for li, L in enumerate(_Ls(cfg, r))],
-        _phase_transition_trial, _phase_transition_row),
+        _phase_transition_trial, _phase_transition_row, noise_fields=("noise",)),
     "bound_check": _Kind(
         ("eta1", "trial", "certified", "C1_hat", "C2_hat", "observed_error_q", "bound",
          "violated", "trial_seed"),
-        _bound_check_cells, _bound_check_trial),
+        _bound_check_cells, _bound_check_trial, noise_fields=("eta1_values",)),
     "lad_robustness": _Kind(
         ("trial", "corrupt_fraction", "corrupt_scale", "lad_error", "lsq_error",
          "trial_seed"),

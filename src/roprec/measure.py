@@ -106,8 +106,32 @@ class NoiseSpec:
         return self.kind in ("dantzig", "intersection")
 
 
+def _philox_key(seed: int, stream: int, index: int) -> np.ndarray:
+    # uint64 throughout: a list holding an int of 2^63 or more converts to
+    # float64, which rounds the seed
+    return np.array([seed & (2**64 - 1), (stream << 32) | index], dtype=np.uint64)
+
+
 def _substream(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), (stream << 32) | index]))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream, index)))
+
+
+def _substreams(seed: int, stream: int, count: int):
+    """``_substream(seed, stream, j)`` for j = 0, ..., count - 1, in turn.
+
+    One generator is yielded each time, its Philox re-keyed in place to
+    the state a new one starts from (counter 0, empty buffer), so it is
+    valid until the next.  A new Philox spends more on an entropy draw,
+    for a seed sequence the key then overrides, than a short row spends
+    on its draws.
+    """
+    bits = np.random.Philox(key=_philox_key(seed, stream, 0))
+    rng, state = np.random.Generator(bits), bits.state
+    for j in range(count):
+        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
+                          "key": _philox_key(seed, stream, j)}
+        bits.state = state
+        yield rng
 
 
 def sample_gaussian_rop(m: int, n: int, L: int, symmetric: bool = False,
@@ -119,8 +143,7 @@ def sample_gaussian_rop(m: int, n: int, L: int, symmetric: bool = False,
         raise ValueError("symmetric ensemble requires m == n")
     betas = np.empty((L, m))
     gammas = betas if symmetric else np.empty((L, n))
-    for j in range(L):
-        g = _substream(seed, _STREAM_ENSEMBLE, j)
+    for j, g in enumerate(_substreams(seed, _STREAM_ENSEMBLE, L)):
         betas[j] = g.standard_normal(m)
         if not symmetric:
             gammas[j] = g.standard_normal(n)

@@ -9,13 +9,19 @@ module owns the algorithmic choices:
   matrix IRLS, the weighted least-squares subproblem solved through the
   measurement Gram matrix.  At p < 1 the weight is the harmonic mean of
   the left and right weights (X X^T + eps I)^{p/2-1} and
-  (X^T X + eps I)^{p/2-1} (Kuemmerle & Sigl 2018), and eps decays by 0.3
-  per iteration; at p = 1 it is the left weight alone, and eps decays by
-  0.7.  p = 1 stays one-sided on purpose: within criterion 04's 200
-  iterations the one-sided form stops short of the nuclear-norm minimum
-  at L = 200 (m = n = 20, r = 2), where the harmonic-mean form reaches
-  it and recovers the truth, and the criterion's strict cell needs the
-  convex baseline to fail there.  eps starts at 0.1 and is floored at
+  (X^T X + eps I)^{p/2-1} (Kuemmerle & Sigl 2018), both from one SVD of
+  the iterate, and eps decays by 0.1 per iteration.  The squared singular
+  values give a tail eigenvalue sigma_i^2, which (w + eps)^{p/2}
+  amplifies once eps is small, to about u sigma_1 sigma_i (u the unit
+  roundoff), where eigh of X X^T rounds it at u sigma_1^2; with eigh the
+  smoothed objective can rise from one iterate to the next, and does on
+  many instances under the fast decay.  At p = 1 the weight is the left
+  one alone, from eigh of X X^T, and eps decays by 0.7.  p = 1 stays
+  one-sided on purpose: within criterion 04's 200 iterations the
+  one-sided form stops short of the nuclear-norm minimum at L = 200
+  (m = n = 20, r = 2), where the harmonic-mean form reaches it and
+  recovers the truth, and the criterion's strict cell needs the convex
+  baseline to fail there.  eps starts at 0.1 and is floored at
   1e-10, both times ||X_mf||_F^2 for the minimum-Frobenius feasible
   point X_mf, so the iterates scale with b;
 * noisy constraint sets (the lq-bounded / Dantzig / intersection kinds
@@ -74,7 +80,7 @@ _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
 _SMOOTHING_DECAY = 0.7
 _SMOOTHING_FLOOR = 1e-10
-_IRLS_HM_DECAY = 0.3
+_IRLS_HM_DECAY = 0.1
 _RESTARTS = 3
 _ADMM_RHO = 1.0
 _FEASIBILITY_TOL = 1e-6
@@ -315,6 +321,20 @@ def _gram_eigh(X):
     return np.clip(w, 0.0, None), Q
 
 
+def _svd_eigenpairs(X):
+    """Eigenpairs of X X^T and of X^T X from one SVD X = U diag(s) V^T:
+    (s^2, U) and (s^2, V), s padded with zeros to m and to n.
+
+    A squared singular value s_i^2 is accurate to about u s_1 s_i (u the
+    unit roundoff), where eigh of the Gram leaves u s_1^2 on every
+    eigenvalue; the tail that (w + eps)^{p/2} amplifies at small eps needs
+    the former.
+    """
+    U, s, Vt = np.linalg.svd(X)
+    m, n = X.shape
+    return (np.pad(s**2, (0, m - s.size)), U), (np.pad(s**2, (0, n - s.size)), Vt.T)
+
+
 def _inverse_weight(w, Q, eps, p):
     """(S + eps I)^{1-p/2} from the eigenpairs (w, Q) of a Gram S."""
     return (Q * (w + eps) ** (1.0 - p / 2.0)) @ Q.T
@@ -323,7 +343,7 @@ def _inverse_weight(w, Q, eps, p):
 def _smoothed_schatten(w, eps, p):
     """tr((X X^T + eps I)^{p/2}), the IRLS surrogate objective.
 
-    ``w`` holds the clipped eigenvalues of X X^T.
+    ``w`` holds the (nonnegative) eigenvalues of X X^T.
     """
     return float(np.sum((w + eps) ** (p / 2.0)))
 
@@ -333,10 +353,11 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
     (X, trace, iterations, converged), a zero run when b = 0.
 
     At p < 1 the step uses the harmonic mean of the left and right
-    weights (Kuemmerle & Sigl 2018), which lets eps decay by
-    ``_IRLS_HM_DECAY``; at p = 1 it keeps the left weight alone (see the
-    module docstring).  eps starts at, and is floored at, multiples of
-    ||X_mf||_F^2, so b and c b give iterates c apart.
+    weights (Kuemmerle & Sigl 2018), both from one SVD per iterate, which
+    keeps the trace monotone while eps decays by ``_IRLS_HM_DECAY``; at
+    p = 1 it keeps the left weight alone (see the module docstring).  eps
+    starts at, and is floored at, multiples of ||X_mf||_F^2, so b and c b
+    give iterates c apart.
     """
     solve = _wls_solver(op)
     X = solve(np.eye(op.m), b)
@@ -348,15 +369,16 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
     floor = _SMOOTHING_FLOOR * scale
     eps = _SMOOTHING_INITIAL * scale
     trace, iters, converged = [], 0, False
-    # one eigendecomposition of X X^T per iterate: its eigenvalues give the
-    # trace entry, and the pair gives the next iteration's left weight
-    w, Q = _gram_eigh(X)
+    # one decomposition per iterate: the eigenpairs of X X^T give the trace
+    # entry and, with those of X^T X at p < 1, the next iteration's weights
+    pairs = _svd_eigenpairs if harmonic else lambda X: (_gram_eigh(X), None)
+    left, right = pairs(X)
     for it in range(cfg.max_iterations):
         iters = it + 1
-        W_R = _inverse_weight(*_gram_eigh(X.T), eps, p) if harmonic else None
-        X_new = solve(_inverse_weight(w, Q, eps, p), b, W_R)
-        w, Q = _gram_eigh(X_new)
-        trace.append(_smoothed_schatten(w, eps, p))
+        W_R = _inverse_weight(*right, eps, p) if harmonic else None
+        X_new = solve(_inverse_weight(*left, eps, p), b, W_R)
+        left, right = pairs(X_new)
+        trace.append(_smoothed_schatten(left[0], eps, p))
         change = np.linalg.norm(X_new - X) / np.linalg.norm(X)
         X = X_new
         eps = max(eps * decay, floor)

@@ -215,3 +215,17 @@ def rank1_fit_objective_2x2(betas, gammas, b, p, grid=181):
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     r0, sc = at(out.x[0], out.x[1])
     return abs(sc) ** p, r0
+
+
+def rub_extrema_per_trial(op, r, q, trials, seed, stream, apply_map):
+    """(min, max, mean) of ||A(X)||_q^q / L over the RUB test matrices, with a
+    new Philox per trial t keyed (seed, stream << 32 | t), each drawing a
+    unit-norm Gaussian-factor rank-r matrix."""
+    ratios = []
+    for t in range(trials):
+        key = np.array([seed & (2**64 - 1), (stream << 32) | t], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        X = rng.standard_normal((op.m, r)) @ rng.standard_normal((op.n, r)).T
+        X /= np.linalg.norm(X)
+        ratios.append(np.sum(np.abs(apply_map(op, X)) ** q) / op.L)
+    return min(ratios), max(ratios), float(np.mean(ratios))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import rub_extrema_per_trial
 from roprec import certify, measure
 from roprec.measure import NoiseSpec
 
@@ -53,6 +54,14 @@ def test_gaussian_reference_band_recorded():
     est = certify.estimate_rub(ens, 2, 1.0, trials=100, seed=5)
     assert est.optimistic
     assert 0.0 < est.C1_hat <= est.C2_hat
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+def test_estimate_rub_matches_one_generator_per_trial(seed):
+    ens = measure.sample_gaussian_rop(12, 12, 150, seed=1)
+    est = certify.estimate_rub(ens, 2, 1.0, trials=200, seed=seed)
+    assert (est.C1_hat, est.C2_hat, est.mean_ratio) == rub_extrema_per_trial(
+        ens, 2, 1.0, 200, seed, certify._STREAM_RUB, measure.apply_map)
 
 
 def test_estimate_rub_validates_rank():

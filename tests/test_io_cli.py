@@ -326,6 +326,39 @@ def test_cli_help_exits_0(cmd, capsys):
     assert capsys.readouterr().out.startswith("usage: roprec " + cmd)
 
 
+@pytest.mark.parametrize("cmd", cli._COMMANDS)
+def test_cli_subcommand_parser_help_matches_full_parser(cmd, capsys):
+    # a command line naming a subcommand builds that subparser alone
+    helps = []
+    for parser in (cli.build_parser(), cli.build_parser(cmd)):
+        with pytest.raises(SystemExit):
+            parser.parse_args([cmd, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    ("bound-check", "--noise-kind", "dantzig"), ("bound-check", "--eta2", "0.5"),
+    *((cmd, flag, value) for cmd in ("lad-robustness", "phaselift-demo")
+      for flag, value in (("--noise-kind", "dantzig"), ("--eta2", "0.5"),
+                          ("--eta1", "0.3"), ("--eta1-values", "0.3"))),
+])
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+def test_cli_experiment_rejects_noise_flags_it_ignores(tmp_path, run_configs, capsys, cmd,
+                                                       flag, value, from_file):
+    # bound-check reads only its eta1 sweep; lad-robustness and phaselift-demo
+    # read no noise setting
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"{flag[2:]} = {value}\n" if from_file else "")
+    argv = [cmd, "--config", str(cfg), "--out", "x.csv"] + ([] if from_file else [flag, value])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+    assert run_configs == []
+
+
 def test_cli_missing_input_file_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     assert cli.main(["recover", "--ensemble", missing, "--measurements", missing,

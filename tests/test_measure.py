@@ -27,6 +27,29 @@ def test_sampling_seed_changes_draws():
     assert not np.array_equal(a.betas, b.betas)
 
 
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("L", [1, 150])
+def test_sampling_matches_one_substream_per_row(L, seed, symmetric):
+    # the sampler re-keys one Philox per row; a new generator per row is the
+    # reference
+    m, n = 4, 4 if symmetric else 3
+    betas, gammas = np.empty((L, m)), np.empty((L, n))
+    for j in range(L):
+        g = measure._substream(seed, measure._STREAM_ENSEMBLE, j)
+        betas[j] = g.standard_normal(m)
+        gammas[j] = betas[j] if symmetric else g.standard_normal(n)
+    ens = measure.sample_gaussian_rop(m, n, L, symmetric=symmetric, seed=seed)
+    assert ens.betas.tobytes() == betas.tobytes()
+    assert ens.gammas.tobytes() == gammas.tobytes()
+
+
+def test_sampling_seeds_past_2_63_are_distinct():
+    a = measure.sample_gaussian_rop(2, 2, 4, seed=2**63)
+    b = measure.sample_gaussian_rop(2, 2, 4, seed=2**63 + 5)
+    assert not np.array_equal(a.betas, b.betas)
+
+
 def test_sampling_moments():
     # law of large numbers on the scalar case
     ens = measure.sample_gaussian_rop(1, 1, 100_000, seed=3)
