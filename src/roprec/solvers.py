@@ -16,7 +16,7 @@ module owns the algorithmic choices:
   roundoff), where eigh of X X^T rounds it at u sigma_1^2; with eigh the
   smoothed objective can rise from one iterate to the next, and does on
   many instances under the fast decay.  At p = 1 the weight is the left
-  one alone, from eigh of X X^T, and eps decays by 0.7.  p = 1 stays
+  one alone, from the same SVD, and eps decays by 0.7.  p = 1 stays
   one-sided on purpose: within criterion 04's 200 iterations the
   one-sided form stops short of the nuclear-norm minimum at L = 200
   (m = n = 20, r = 2), where the harmonic-mean form reaches it and
@@ -26,9 +26,11 @@ module owns the algorithmic choices:
   point X_mf, so the iterates scale with b;
 * noisy constraint sets (the lq-bounded / Dantzig / intersection kinds
   of ``measure.NoiseSpec``, the same set the noise is drawn onto): ADMM
-  with the Schatten-p proximal applied singular-value-wise and each
-  constraint a residual block handled by projection, plus a final
-  minimum-norm correction so the returned iterate is feasible; the
+  from A^+ b with the Schatten-p proximal applied singular-value-wise,
+  its weight ``_ADMM_PROX_SCALE`` * ||A^+ b||_F^{2-p} so that b and c b
+  give iterates c apart, and each constraint a residual block handled by
+  projection, plus a final minimum-norm correction so the returned
+  iterate is feasible; the
   lq-ball projection at q < 1 searches the coordinates' zeroing
   breakpoints and runs safeguarded Newton between two of them;
 * least-q on the Schatten-p sphere: smoothed gradient descent with
@@ -50,12 +52,16 @@ Schatten-p trace entry comes from the shrunk singular values; no mn x mn
 matrix is formed.  Only the injective-map check builds the explicit
 operator.
 
-Equality IRLS runs once, from X_mf: at p < 1 restarts from other starts
-won 10 of 1160 measured trials, all near the information limit (L <= 1.61
-r(m+n-r); see the README).  ADMM at p < 1 handles nonconvexity by seeded
-restarts.  Reports keep every per-restart objective trace and
-distinguish "converged" from any claim of global optimality (made only
-for a converged p = 1 equality solve and for the injective case).
+Every Schatten-p solve runs once, from one deterministic start, and reads
+no seed.  Equality IRLS starts at X_mf: at p < 1 restarts from other
+starts won 10 of 1160 measured trials, all near the information limit
+(L <= 1.61 r(m+n-r); see the README).  Noisy ADMM starts at A^+ b: with
+its weight relative to ||A^+ b||, one start reaches a lower objective at
+p < 1 than the best of three seeded starts under an absolute weight did.
+Only least-q keeps three starts, and seeded fill-ins for any of them
+that is zero.  Reports keep every objective trace and distinguish
+"converged" from any claim of global optimality (made only for a
+converged p = 1 equality solve and for the injective case).
 """
 
 from __future__ import annotations
@@ -73,16 +79,16 @@ from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map
 _STREAM_SOLVER = 7
 
 # Relative-change stopping tolerance, smoothing start, per-level decay and
-# floor, the faster decay of harmonic-mean IRLS, starts of nonconvex ADMM
-# and least-q, ADMM penalty, and the slack allowed when a result is checked
-# against its set.
+# floor, the faster decay of harmonic-mean IRLS, starts of least-q, the
+# noisy ADMM's Schatten-p prox weight over ||A^+ b||_F^{2-p}, and the slack
+# allowed when a result is checked against its set.
 _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
 _SMOOTHING_DECAY = 0.7
 _SMOOTHING_FLOOR = 1e-10
 _IRLS_HM_DECAY = 0.1
 _RESTARTS = 3
-_ADMM_RHO = 1.0
+_ADMM_PROX_SCALE = 0.1
 _FEASIBILITY_TOL = 1e-6
 
 
@@ -107,7 +113,7 @@ class RecoveryReport:
     final_objective: float
     constraint_slack: dict
     converged: bool
-    objective_traces: list  # one trace per restart
+    objective_traces: list  # one trace per start (least-q runs several)
     method: str = ""
     # claimed for the convex equality program at p = 1 when IRLS converged,
     # and at any p when the map is injective (its feasible set is one point)
@@ -315,12 +321,6 @@ def _solve_psd(G, b):
     return lam
 
 
-def _gram_eigh(X):
-    """Eigenpairs of X X^T, the eigenvalues clipped at 0."""
-    w, Q = np.linalg.eigh(X @ X.T)
-    return np.clip(w, 0.0, None), Q
-
-
 def _svd_eigenpairs(X):
     """Eigenpairs of X X^T and of X^T X from one SVD X = U diag(s) V^T:
     (s^2, U) and (s^2, V), s padded with zeros to m and to n.
@@ -352,12 +352,12 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
     """IRLS from the minimum-Frobenius feasible point X_mf; returns one run
     (X, trace, iterations, converged), a zero run when b = 0.
 
-    At p < 1 the step uses the harmonic mean of the left and right
-    weights (Kuemmerle & Sigl 2018), both from one SVD per iterate, which
-    keeps the trace monotone while eps decays by ``_IRLS_HM_DECAY``; at
-    p = 1 it keeps the left weight alone (see the module docstring).  eps
-    starts at, and is floored at, multiples of ||X_mf||_F^2, so b and c b
-    give iterates c apart.
+    One SVD per iterate gives the trace entry and the next weights.  At
+    p < 1 the step uses the harmonic mean of the left and right weights
+    (Kuemmerle & Sigl 2018), which keeps the trace monotone while eps
+    decays by ``_IRLS_HM_DECAY``; at p = 1 it keeps the left weight alone
+    (see the module docstring).  eps starts at, and is floored at,
+    multiples of ||X_mf||_F^2, so b and c b give iterates c apart.
     """
     solve = _wls_solver(op)
     X = solve(np.eye(op.m), b)
@@ -369,15 +369,12 @@ def _irls_equality(op, b, p, cfg: SolverConfig):
     floor = _SMOOTHING_FLOOR * scale
     eps = _SMOOTHING_INITIAL * scale
     trace, iters, converged = [], 0, False
-    # one decomposition per iterate: the eigenpairs of X X^T give the trace
-    # entry and, with those of X^T X at p < 1, the next iteration's weights
-    pairs = _svd_eigenpairs if harmonic else lambda X: (_gram_eigh(X), None)
-    left, right = pairs(X)
+    left, right = _svd_eigenpairs(X)
     for it in range(cfg.max_iterations):
         iters = it + 1
         W_R = _inverse_weight(*right, eps, p) if harmonic else None
         X_new = solve(_inverse_weight(*left, eps, p), b, W_R)
-        left, right = pairs(X_new)
+        left, right = _svd_eigenpairs(X_new)
         trace.append(_smoothed_schatten(left[0], eps, p))
         change = np.linalg.norm(X_new - X) / np.linalg.norm(X)
         X = X_new
@@ -484,20 +481,32 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
     return Z, trace, iters, converged
 
 
-def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig, X0=None):
-    """Schatten-p minimization over a noise set, then a feasibility polish."""
+def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig):
+    """Schatten-p minimization over a noise set from A^+ b, then a
+    feasibility polish; raises SolverError if the polish misses the set.
+
+    The prox weight is lam = ``_ADMM_PROX_SCALE`` * ||A^+ b||_F^{2-p}:
+    argmin_z lam |z|^p + (z - s)^2 / 2 moves to c z when s moves to c s
+    and lam to c^{2-p} lam, so b and c b, over the set scaled by c, run
+    iterates c apart.  b = 0 gives lam = 0 and the zero matrix.
+    """
     blocks = []
     if noise.has_lq:
         blocks.append((False, lambda s: project_lq_ball(s, op.L * noise.eta1, noise.q)))
     if noise.has_dantzig:
         blocks.append((True, lambda S: project_spectral_ball(S, noise.eta2)))
-    X0 = np.asarray(X0, dtype=float) if X0 is not None else A.pinv(b)
+    X0 = A.pinv(b)
+    lam = _ADMM_PROX_SCALE * float(np.linalg.norm(X0)) ** (2.0 - cfg.p)
     # the trace entry ||Z||_{S_p}^p sums the shrunk singular values' powers
     X, trace, iters, converged = _admm(
-        X0, A, b, lambda V: prox_schatten_p(V, 1.0 / _ADMM_RHO, cfg.p), blocks,
+        X0, A, b, lambda V: prox_schatten_p(V, lam, cfg.p), blocks,
         lambda sigma, _: float(np.sum(sigma**cfg.p)), cfg)
     X, feas_ok = _feasibility_polish(op, A, b, X, noise)
-    return X, trace, iters, converged and feas_ok, feas_ok
+    if not feas_ok:
+        raise SolverError(
+            f"after {cfg.max_iterations} iterations the feasibility polish did not "
+            f"reach the {noise.kind} noise set")
+    return X, trace, iters, converged
 
 
 def _feasibility_polish(op, A: _GramMap, b, X, noise: NoiseSpec):
@@ -520,18 +529,6 @@ def _feasibility_polish(op, A: _GramMap, b, X, noise: NoiseSpec):
 
 # ---------------------------------------------------------------------------
 # Public solver entry points.
-
-
-def _restart_inits(op, b, cfg: SolverConfig, count: int):
-    """Seeded initial points: None (method default), adjoint image, Gaussians."""
-    inits = [None]
-    Ab = adjoint_map(op, b)
-    nrm = np.linalg.norm(Ab)
-    if nrm > 0:
-        inits.append(Ab / nrm * max(1.0, np.linalg.norm(b) / max(op.L, 1)))
-    inits += [measure._substream(cfg.seed, _STREAM_SOLVER, j).standard_normal((op.m, op.n))
-              for j in range(count - len(inits))]
-    return inits[:count]
 
 
 def _unique_feasible_point(op, b):
@@ -558,8 +555,8 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
 
     Kind "none" (B = {0}) with an injective map is one least-squares
     solve, reported as one iteration; otherwise it runs IRLS once, from
-    the minimum-Frobenius point.  The other kinds run ADMM, at p < 1 from
-    three seeded starts, keeping the best feasible objective.
+    the minimum-Frobenius point.  The other kinds run ADMM once, from
+    A^+ b, at every p.  No path reads ``cfg.seed``.
     """
     b = np.asarray(b, dtype=float)
     if b.shape != (op.L,):
@@ -567,35 +564,21 @@ def schatten_p_minimize(op, b, noise: NoiseSpec, cfg: SolverConfig) -> RecoveryR
 
     unique = _unique_feasible_point(op, b) if noise.kind == "none" else None
     if unique is not None:
-        obj = schatten_norm(unique, cfg.p) ** cfg.p
-        best, traces, total_iters, any_converged = (unique, obj), [[obj]], 1, True
+        X, iters, converged = unique, 1, True
     elif noise.kind == "none":
-        X, trace, total_iters, any_converged = _irls_equality(op, b, cfg.p, cfg)
-        best, traces = (X, schatten_norm(X, cfg.p) ** cfg.p), [trace]
+        X, trace, iters, converged = _irls_equality(op, b, cfg.p, cfg)
     else:
-        # Convex case needs no restarts; nonconvex p gets them.
-        A = _GramMap(op)
-        best, traces, total_iters, any_converged = None, [], 0, False
-        for X0 in _restart_inits(op, b, cfg, 1 if cfg.p == 1.0 else _RESTARTS):
-            X, trace, iters, conv, feas_ok = _admm_noisy(op, A, b, noise, cfg, X0=X0)
-            traces.append(trace)
-            total_iters += iters
-            any_converged = any_converged or conv
-            obj = schatten_norm(X, cfg.p) ** cfg.p
-            if feas_ok and (best is None or obj < best[1]):
-                best = (X, obj)
-    if best is None:
-        raise SolverError(
-            f"no restart ended feasible: after {cfg.max_iterations} iterations the "
-            f"feasibility polish did not reach the {noise.kind} noise set")
-    X, obj = best
+        X, trace, iters, converged = _admm_noisy(op, _GramMap(op), b, noise, cfg)
+    obj = schatten_norm(X, cfg.p) ** cfg.p
+    if unique is not None:
+        trace = [obj]
     residual = b - apply_map(op, X)
     feasible, slacks = measure.check_feasible(noise, op, residual, tol=_FEASIBILITY_TOL)
-    converged = any_converged and feasible
+    converged = converged and feasible
     return RecoveryReport(
-        estimate=X, iterations_used=total_iters, final_objective=obj,
+        estimate=X, iterations_used=iters, final_objective=obj,
         constraint_slack=slacks, converged=converged,
-        objective_traces=traces, method=f"schatten-p(p={cfg.p})",
+        objective_traces=[trace], method=f"schatten-p(p={cfg.p})",
         globally_optimal=(cfg.p == 1.0 and noise.kind == "none" and converged)
         or unique is not None)
 
@@ -725,7 +708,8 @@ def phaselift_lad(ens: RopEnsemble, b, cfg: SolverConfig) -> RecoveryReport:
     Z, trace, iters, converged = _admm(
         np.eye(ens.m) / ens.m, A, btilde,
         lambda V: (spectahedron_project(0.5 * (V + V.T)), None),
-        [(False, lambda s: prox_power(s, 1.0 / _ADMM_RHO, 1.0))],
+        # an absolute l1 weight: the unit-trace constraint fixes the scale
+        [(False, lambda s: prox_power(s, 1.0, 1.0))],
         lambda _, AZ: float(np.linalg.norm(AZ - btilde, 1)), cfg)
     return RecoveryReport(
         estimate=Z, iterations_used=iters, final_objective=trace[-1],

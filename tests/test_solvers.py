@@ -160,7 +160,8 @@ def test_lq_ball_projection_needs_few_shrinkages(monkeypatch):
 
     monkeypatch.setattr(solvers, "prox_power", prox_spy)
     monkeypatch.setattr(solvers, "project_lq_ball", project_spy)
-    solvers.schatten_p_minimize(ens, b, spec, SolverConfig(p=0.5, q=0.5, max_iterations=100))
+    # one ADMM run of 300 iterations, one projection each, plus the polish's
+    solvers.schatten_p_minimize(ens, b, spec, SolverConfig(p=0.5, q=0.5, max_iterations=300))
     assert len(calls) > 300
     assert max(calls) <= 15
 
@@ -392,9 +393,7 @@ def test_cone_constraint_on_solver_output():
     ("dantzig", 5, 60, 8, 1.0),
     ("intersection", 6, 80, 0, 1.0),
     ("intersection", 6, 80, 0, 0.5),
-    # the feasibility polish does not reach the intersection on this instance
-    pytest.param("intersection", 6, 80, 3, 0.5,
-                 marks=pytest.mark.xfail(raises=solvers.SolverError, strict=True)),
+    ("intersection", 6, 80, 3, 0.5),
 ], ids=["lq_bounded", "dantzig", "intersection", "intersection-nonconvex",
         "intersection-nonconvex-seed3"])
 def test_noisy_feasible_at_exit(kind, m, L, seed, p):
@@ -423,7 +422,7 @@ def test_admm_trace_entry_is_the_objective_of_the_returned_iterate(monkeypatch, 
     ens, X0, b_clean = _planted(6, 6, 1, 80, seed=7)
     spec = NoiseSpec(kind="lq_bounded", q=p, eta1=0.01)
     b = b_clean + measure.generate_noise(spec, ens, seed=7)
-    Z, trace, iters, _, _ = solvers._admm_noisy(
+    Z, trace, iters, _ = solvers._admm_noisy(
         ens, solvers._GramMap(ens), b, spec, SolverConfig(p=p, q=p, max_iterations=budget))
     assert len(trace) == iters <= budget
     sigma = linalg.singular_values(Z)
@@ -445,6 +444,86 @@ def test_phaselift_trace_entry_is_the_l1_misfit_of_the_estimate(budget):
     assert len(trace) == report.iterations_used <= budget
     assert trace[-1] == report.final_objective
     assert trace[-1] == pytest.approx(np.linalg.norm(misfit - btilde, 1), rel=1e-12)
+
+
+def _c06_draw(t, spec, r=1):
+    # criterion 06's geometry: m = n = 12, L = 150, trial t of master seed
+    # 2026, the noise drawn onto the set the solver uses, so X0 is feasible
+    seed = harness.derive_seed(2026, 0, t)
+    ens = measure.sample_gaussian_rop(12, 12, 150, seed=seed)
+    X0 = harness.plant_truth(12, 12, r, seed)
+    return ens, X0, measure.apply_map(ens, X0) + measure.generate_noise(spec, ens, seed)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("kind", [
+    "dantzig", "intersection",
+    # the polish checks the lq ball with the absolute _FEASIBILITY_TOL, so a
+    # residual c times larger is judged on another scale: 3.6e-4 at p = 1
+    pytest.param("lq_bounded", marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+])
+def test_scaling_equivariance_noisy(kind, p):
+    # ADMM's prox weight is relative to ||A^+ b||_F^{2-p}: b, eta and c b,
+    # c eta give estimates c apart
+    spec = NoiseSpec(kind=kind, q=1.0, eta1=0.01, eta2=0.5)
+    cfg = SolverConfig(p=p, max_iterations=400)
+    for t in range(3):
+        ens, _, b = _c06_draw(t, spec)
+        base = solvers.schatten_p_minimize(ens, b, spec, cfg).estimate
+        for c in (0.01, 100.0):
+            scaled = NoiseSpec(kind=kind, q=1.0, eta1=c * 0.01, eta2=c * 0.5)
+            est = solvers.schatten_p_minimize(ens, c * b, scaled, cfg).estimate
+            assert np.linalg.norm(est - c * base) <= 1e-6 * np.linalg.norm(c * base), (t, c)
+
+
+@pytest.mark.parametrize("eta1", [0.01, 0.05])
+def test_noisy_nuclear_reaches_the_truths_objective(eta1):
+    # X0 lies in the set, so the minimum is at most ||X0||_*
+    spec = NoiseSpec(kind="lq_bounded", q=1.0, eta1=eta1)
+    for t in range(8):
+        ens, X0, b = _c06_draw(t, spec)
+        report = solvers.schatten_p_minimize(ens, b, spec, SolverConfig(max_iterations=400))
+        assert report.final_objective <= linalg.schatten_norm(X0, 1.0) * (1.0 + 1e-3), t
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_noisy_nonconvex_lq_past_mn_ends_feasible(r):
+    # p = 0.5, q = 1 with L = 150 > mn: the bench's known-defect probe, which
+    # an absolute prox weight left outside the lq ball after the polish
+    spec = NoiseSpec(kind="lq_bounded", q=1.0, eta1=0.01)
+    for t in range(8):
+        ens, _, b = _c06_draw(t, spec, r=r)
+        report = solvers.schatten_p_minimize(ens, b, spec,
+                                             SolverConfig(p=0.5, max_iterations=400))
+        assert report.constraint_slack["lq"] >= -1e-6, t
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["lq_bounded", "dantzig", "intersection"])
+def test_noisy_zero_measurements_give_zero(kind, p):
+    # b = 0 puts the start A^+ b and the prox weight at 0
+    ens = measure.sample_gaussian_rop(5, 5, 40, seed=3)
+    spec = NoiseSpec(kind=kind, q=1.0, eta1=0.01, eta2=0.5)
+    report = solvers.schatten_p_minimize(ens, np.zeros(40), spec,
+                                         SolverConfig(p=p, max_iterations=50))
+    assert not np.any(report.estimate)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+@pytest.mark.parametrize("kind, L", [("none", 24), ("none", 40), ("lq_bounded", 40),
+                                     ("dantzig", 40), ("intersection", 40)])
+def test_schatten_p_minimize_runs_one_start(kind, L, p):
+    # every noise kind and p: one objective trace, and no seed read
+    ens, _, b_clean = _planted(6, 6, 1, L, seed=5)
+    spec = NoiseSpec(kind=kind, q=1.0, eta1=0.01, eta2=0.5)
+    b = b_clean + measure.generate_noise(spec, ens, seed=5)
+    reports = [solvers.schatten_p_minimize(ens, b, spec,
+                                           SolverConfig(p=p, max_iterations=200, seed=seed))
+               for seed in (0, 12345)]
+    for report in reports:
+        [trace] = report.objective_traces
+        assert report.iterations_used == len(trace)
+    assert reports[0].estimate.tobytes() == reports[1].estimate.tobytes()
 
 
 def test_nuclear_baseline_agrees_with_p1():
