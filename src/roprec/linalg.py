@@ -7,7 +7,9 @@ functions are pure and operate on plain numpy arrays.
 ``_single_blas_thread`` runs a call with every loaded OpenBLAS pool set
 to one thread.  numpy and scipy each bring their own OpenBLAS; on the
 small dense kernels here their thread pools only contend with each other,
-and results would otherwise depend on the thread count.
+and results would otherwise depend on the thread count.  No module of the
+package imports scipy at import time: the first pin loads it, before its
+one scan for pools, so the pin covers scipy's pool too.
 """
 
 from __future__ import annotations
@@ -161,8 +163,13 @@ def _openblas_pools() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS mapped into this process.
 
     Empty where /proc/self/maps is missing or no OpenBLAS exports them.
-    Looked up on first use, not at import.
+    Looked up on first use, not at import.  scipy.linalg, which the solvers
+    import only where they call it, is loaded before the scan: a library
+    mapped after this one scan would never be pinned, and a solve's result
+    would then depend on the thread count.
     """
+    import scipy.linalg  # noqa: F401
+
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}

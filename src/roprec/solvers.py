@@ -69,7 +69,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from . import measure
 from .linalg import (_single_blas_thread, schatten_norm, simplex_project,
@@ -237,12 +236,16 @@ def project_lq_ball(v: np.ndarray, radius: float, q: float) -> np.ndarray:
     lam_lo, lam_hi = (breaks[lo] if lo >= 0 else 0.0), breaks[hi]
     # The segment's mass just below lam_hi, where the coordinates breaking
     # there still hold their jump size zstar: at or above the target (to
-    # rounding), the crossing is that jump.
+    # rounding), the crossing is that jump.  The point just below the jump is
+    # the nearer one, returned when its own mass is in the ball; otherwise
+    # the breaking coordinates are 0.
     zstar = (2.0 * lam_hi * (1.0 - q)) ** (1.0 / (2.0 - q))
-    f_jump = np.sum(np.abs(z_hi[lams > lam_hi]) ** q) + np.sum(lams == lam_hi) * zstar**q
+    breaking = lams == lam_hi
+    f_jump = np.sum(np.abs(z_hi[lams > lam_hi]) ** q) + np.sum(breaking) * zstar**q
     rounding = a.size * np.finfo(float).eps * target
     if f_jump >= target - rounding:
-        return z_hi
+        z_jump = np.where(breaking, np.sign(v) * zstar, z_hi)
+        return z_jump if np.sum(np.abs(z_jump) ** q) <= target else z_hi
     lam, f, z = lam_lo, f_lo, z_lo
     for _ in range(100):
         if f <= target:
@@ -310,12 +313,17 @@ def _wls_solver(op: RopEnsemble):
 
 
 def _solve_psd(G, b):
+    # imported here, not at module level, so that processes that never
+    # solve (sample, measure) start without scipy; the BLAS pin loads it
+    # before this runs (see linalg._openblas_pools)
+    import scipy.linalg
+
     try:
         c, low = scipy.linalg.cho_factor(G, check_finite=False)
         lam = scipy.linalg.cho_solve((c, low), b, check_finite=False)
         if np.linalg.norm(G @ lam - b) <= 1e-8 * max(1.0, np.linalg.norm(b)):
             return lam
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     lam, *_ = np.linalg.lstsq(G, b, rcond=None)
     return lam

@@ -61,7 +61,12 @@ def lq_ball_bisection(v, radius, q, shrink):
     """Projection onto {||w||_q <= radius}, 0 < q < 1, as shrink(v, lam, q) at
     the smallest lam whose point is in the ball: a doubling search for a
     feasible lam, then bisection until the bracket stops shrinking.  The
-    mass sum |shrink(v, lam, q)|^q only has to fall with lam."""
+    mass sum |shrink(v, lam, q)|^q only has to fall with lam.
+
+    Where a coordinate jumps to 0 between the final bracket's ends, the
+    limit from below at its feasible end keeps that coordinate at its value
+    at the infeasible end; that point is nearer to v, and is returned when
+    it is in the ball."""
     v = np.asarray(v, dtype=float)
     target = radius**q
     if np.sum(np.abs(v) ** q) <= target or radius == 0.0:
@@ -80,7 +85,9 @@ def lq_ball_bisection(v, radius, q, shrink):
             lo = mid
         else:
             hi = mid
-    return shrink(v, hi, q)
+    w, below = shrink(v, hi, q), shrink(v, lo, q)
+    limit = np.where((w == 0) & (below != 0), below, w)
+    return limit if np.sum(np.abs(limit) ** q) <= target else w
 
 
 def jacobi_eigenvalues(A, sweeps=60):

@@ -192,30 +192,69 @@ def test_cli_phase_transition_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _checkout_env(**extra):
+    """os.environ with this checkout's roprec first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
-    # IRLS (phase transition), ADMM over the lq ball (bound check) and
-    # PhaseLift's ADMM on the debiased map
+    # IRLS (phase transition), ADMM over the lq ball (bound check), PhaseLift's
+    # ADMM on the debiased map, least-q's descent (chaotic in its start, so a
+    # thread-dependent rounding shows there first), and certify, whose RUB
+    # estimate is the first pinned call of its process
     if not linalg._openblas_pools():
         pytest.skip("no OpenBLAS thread-count symbols found in this process")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
+    ens = tmp_path / "ens.txt"
+    fileio.write_ensemble(ens, measure.sample_gaussian_rop(12, 12, 150, seed=1))
     runs = [
         ["phase-transition", "--m", "20", "--n", "20", "--r", "2", "--L", "240",
-         "--method", "schatten-p", "--p", "0.5", "--max-iterations", "200"],
+         "--method", "schatten-p", "--p", "0.5", "--max-iterations", "200", "--trials", "1"],
         ["bound-check", "--m", "12", "--n", "12", "--r", "1", "--L", "150",
-         "--eta1", "0.05", "--max-iterations", "400"],
-        ["phaselift-demo", "--m", "16", "--L", "160"],
+         "--eta1", "0.05", "--max-iterations", "400", "--trials", "1"],
+        ["phaselift-demo", "--m", "16", "--L", "160", "--trials", "1"],
+        ["lad-robustness", "--m", "8", "--n", "8", "--r", "1", "--L", "120", "--trials", "1"],
+        ["certify", "--ensemble", str(ens), "--r", "1", "--k", "2", "--eta1", "0.01",
+         "--trials", "200"],
     ]
     for argv in runs:
         outs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"{argv[0]}-{threads}.csv"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "roprec.cli", *argv, "--trials", "1",
+            out = tmp_path / f"{argv[0]}-{threads}.out"
+            subprocess.run([sys.executable, "-m", "roprec.cli", *argv,
                             "--seed", "1", "--out", str(out)],
-                           env=env, check=True, timeout=300)
+                           env=_checkout_env(OPENBLAS_NUM_THREADS=threads),
+                           check=True, timeout=300)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], argv[0]
+
+
+def test_scipy_not_imported_without_a_solve(tmp_path):
+    # scipy takes most of the start-up time, and only the solvers need it:
+    # importing the package, sampling, measuring and a usage error leave it
+    # unloaded (the test process itself already holds scipy)
+    script = """
+import sys
+import numpy as np
+import roprec
+assert "scipy" not in sys.modules, "import roprec"
+from roprec import cli, fileio
+assert "scipy" not in sys.modules, "import roprec.cli"
+fileio.write_matrix("x.txt", np.outer(np.linspace(-1, 1, 6), np.ones(6)) / 6)
+assert cli.main(["sample", "--m", "6", "--n", "6", "--L", "20", "--out", "ens.txt"]) == 0
+assert "scipy" not in sys.modules, "sample"
+assert cli.main(["measure", "--ensemble", "ens.txt", "--matrix", "x.txt",
+                 "--noise-kind", "lq_bounded", "--q", "1", "--eta1", "0.01",
+                 "--out", "b.txt"]) == 0
+assert "scipy" not in sys.modules, "measure"
+assert cli.main(["certify", "--ensemble", "ens.txt", "--r", "1", "--k", "2.5",
+                 "--out", "c.json"]) == 2
+assert "scipy" not in sys.modules, "certify usage error"
+"""
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_checkout_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_config_file_driving(tmp_path):
