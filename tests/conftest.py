@@ -3,7 +3,15 @@
 The acceptance tests each map to one numbered criterion; this hook
 collects their outcomes and prints one pass/fail line per criterion in
 the terminal summary, so the status survives pytest's output capture.
+The `checkout_env` fixture builds the environment for tests that run this
+checkout in a fresh interpreter.
 """
+
+import os
+
+import pytest
+
+import roprec
 
 _ACCEPTANCE_OUTCOMES = {}
 
@@ -23,3 +31,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         name = nodeid.split("::")[-1]
         status = "PASS" if _ACCEPTANCE_OUTCOMES[nodeid] == "passed" else "FAIL"
         terminalreporter.write_line(f"{name}: {status}")
+
+
+@pytest.fixture
+def checkout_env():
+    """A builder of os.environ with this checkout's roprec first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
+
+    def build(**extra):
+        return dict(os.environ, **extra,
+                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    return build

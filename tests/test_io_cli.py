@@ -192,14 +192,7 @@ def test_cli_phase_transition_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _checkout_env(**extra):
-    """os.environ with this checkout's roprec first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(roprec.__file__)))
-    return dict(os.environ, **extra,
-                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-
-def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
+def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
     # IRLS (phase transition), ADMM over the lq ball (bound check), PhaseLift's
     # ADMM on the debiased map, least-q's descent (chaotic in its start, so a
     # thread-dependent rounding shows there first), and certify, whose RUB
@@ -224,13 +217,13 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path):
             out = tmp_path / f"{argv[0]}-{threads}.out"
             subprocess.run([sys.executable, "-m", "roprec.cli", *argv,
                             "--seed", "1", "--out", str(out)],
-                           env=_checkout_env(OPENBLAS_NUM_THREADS=threads),
+                           env=checkout_env(OPENBLAS_NUM_THREADS=threads),
                            check=True, timeout=300)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], argv[0]
 
 
-def test_scipy_not_imported_without_a_solve(tmp_path):
+def test_scipy_not_imported_without_a_solve(tmp_path, checkout_env):
     # scipy takes most of the start-up time, and only the solvers need it:
     # importing the package, sampling, measuring and a usage error leave it
     # unloaded (the test process itself already holds scipy)
@@ -252,7 +245,7 @@ assert cli.main(["certify", "--ensemble", "ens.txt", "--r", "1", "--k", "2.5",
                  "--out", "c.json"]) == 2
 assert "scipy" not in sys.modules, "certify usage error"
 """
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_checkout_env(),
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=checkout_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

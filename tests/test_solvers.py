@@ -145,6 +145,10 @@ def test_lq_ball_projection_matches_bisection_property(monkeypatch):
             # breaking coordinates at the jump and the other zero them.
             held, zeroed = (w, w_ref) if np.all(w_ref[off] == 0) else (w_ref, w)
             assert np.all(zeroed[off] == 0) and np.all(held[off] != 0)
+            # the differing coordinates break at one shrinkage, so share |v|,
+            # and are held at the jump size (2 - 2q)/(2 - q)|v| of that breakpoint
+            assert np.all(np.abs(v[off]) == np.abs(v[off][0]))
+            assert np.allclose(held[off], v[off] * (2 - 2 * q) / (2 - q), rtol=1e-10, atol=0.0)
             jump_mass = np.sum(np.abs(held) ** q)
             assert abs(jump_mass - radius**q) <= L * np.finfo(float).eps * radius**q
 
@@ -880,7 +884,7 @@ def test_blas_pin_shared_by_concurrent_calls(blas_pools, monkeypatch):
     assert [get() for get, _ in blas_pools] == [2] * len(blas_pools)
 
 
-def test_first_pin_covers_scipy_pool(tmp_path):
+def test_first_pin_covers_scipy_pool(tmp_path, checkout_env):
     # A fresh process whose first pinned call is an IRLS solve: the pin loads
     # scipy before its one scan for pools, so inside the Cholesky solve every
     # pool mapped by then, scipy's included, reads one thread.
@@ -906,10 +910,8 @@ pools = linalg._openblas_pools.__wrapped__()
 print(json.dumps({"seen": seen, "pinned": len(linalg._openblas_pools()),
                   "loaded": len(pools), "after": [get() for get, _ in pools]}))
 """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(solvers.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=checkout_env(OPENBLAS_NUM_THREADS="2"),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
