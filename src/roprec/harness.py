@@ -200,7 +200,9 @@ def _corrupt(b: np.ndarray, fraction: float, scale: float, seed: int) -> np.ndar
 
 
 def _lad_trial(cfg: ExperimentConfig, cell, t: int, seed: int) -> list:
-    """LAD (least-q, q=1) versus least squares under sparse gross corruption."""
+    """LAD (least-q at p = q = 1) versus least squares under sparse gross
+    corruption.  LAD runs ADMM over the unit nuclear ball, so it reaches the
+    truth whenever that is the ball's minimum (see solvers.least_q_minimize)."""
     r, L = cell
     X0 = plant_truth(cfg.m, cfg.n, r, seed, norm="sp", p=cfg.p)
     ens = sample_gaussian_rop(cfg.m, cfg.n, L, symmetric=False, seed=seed)

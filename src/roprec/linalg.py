@@ -56,7 +56,7 @@ def _as_matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("matrix contains non-finite entries")
     return X
 

@@ -33,8 +33,12 @@ module owns the algorithmic choices:
   iterate is feasible; the
   lq-ball projection at q < 1 searches the coordinates' zeroing
   breakpoints and runs safeguarded Newton between two of them;
-* least-q on the Schatten-p sphere: smoothed gradient descent with
-  backtracking and a radial retraction after every step;
+* least-q on the Schatten-p sphere: at p = q = 1 (LAD) the same ADMM
+  over the unit nuclear ball, its Z step the projection onto the ball and
+  its one residual block an l1 soft threshold, which solves the sphere
+  program whenever the ball's minimum lies on the sphere; otherwise (that
+  minimum inside the ball, b = 0, or p or q < 1) smoothed gradient
+  descent with backtracking and a radial retraction after every step;
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
   Z step and an l1 soft threshold as its one residual block;
 * ``prox_power``, the scalar prox of lam*|z|^p on whole arrays: the soft
@@ -58,15 +62,18 @@ starts won 10 of 1160 measured trials, all near the information limit
 (L <= 1.61 r(m+n-r); see the README).  Noisy ADMM starts at A^+ b: with
 its weight relative to ||A^+ b||, one start reaches a lower objective at
 p < 1 than the best of three seeded starts under an absolute weight did.
-Only least-q keeps three starts, and seeded fill-ins for any of them
-that is zero.  Reports keep every objective trace and distinguish
-"converged" from any claim of global optimality (made only for a
-converged p = 1 equality solve and for the injective case).
+So does LAD's ADMM, from A^+ b / ||A^+ b||_*.  Only least-q's descent
+keeps three starts, and seeded fill-ins for any of them that is zero,
+after the ADMM's Z / ||Z||_* where LAD fell back to it.  Reports keep
+every objective trace and distinguish "converged" from any claim of
+global optimality (made only for a converged p = 1 equality solve, for
+the injective case and for a converged LAD solve on the sphere).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -79,8 +86,9 @@ _STREAM_SOLVER = 7
 
 # Relative-change stopping tolerance, smoothing start, per-level decay and
 # floor, the faster decay of harmonic-mean IRLS, starts of least-q, the
-# noisy ADMM's Schatten-p prox weight over ||A^+ b||_F^{2-p}, and the slack
-# allowed when a result is checked against its set.
+# noisy ADMM's Schatten-p prox weight over ||A^+ b||_F^{2-p}, the slack
+# allowed when a result is checked against its set, and how near the unit
+# nuclear sphere LAD's ADMM must end for its minimum to count as on it.
 _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
 _SMOOTHING_DECAY = 0.7
@@ -89,6 +97,7 @@ _IRLS_HM_DECAY = 0.1
 _RESTARTS = 3
 _ADMM_PROX_SCALE = 0.1
 _FEASIBILITY_TOL = 1e-6
+_SPHERE_TOL = 1e-8
 
 
 @dataclasses.dataclass
@@ -112,10 +121,13 @@ class RecoveryReport:
     final_objective: float
     constraint_slack: dict
     converged: bool
-    objective_traces: list  # one trace per start (least-q runs several)
+    # one trace per run: least-q's descent runs several starts, after LAD's
+    # ADMM when that ended inside the nuclear ball
+    objective_traces: list
     method: str = ""
     # claimed for the convex equality program at p = 1 when IRLS converged,
-    # and at any p when the map is injective (its feasible set is one point)
+    # at any p when the map is injective (its feasible set is one point), and
+    # for LAD when its ADMM converged on the unit nuclear sphere
     globally_optimal: bool = False
 
 
@@ -275,6 +287,14 @@ def project_lq_ball(v: np.ndarray, radius: float, q: float) -> np.ndarray:
     return z_hi
 
 
+def _project_nuclear_ball(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto the unit nuclear ball, the singular values onto the
+    unit l1 ball; returns it and its singular values."""
+    dec = svd(V)
+    sigma = project_l1_ball(dec.sigma, 1.0)
+    return (dec.U * sigma) @ dec.V.T, sigma
+
+
 def project_spectral_ball(Y: np.ndarray, radius: float) -> np.ndarray:
     """Clip singular values at ``radius`` (projection onto the S_inf ball)."""
     dec = svd(Y)
@@ -403,10 +423,15 @@ class _GramMap:
     L * eps * scale.  With A = Q S V^T, lam = S^2."""
 
     def __init__(self, op: RopEnsemble, minus: RopEnsemble | None = None):
-        terms = [(1.0, op)] + ([(-1.0, minus)] if minus is not None else [])
-        self.apply = lambda X: sum(s * apply_map(o, X) for s, o in terms)
-        self.adjoint = lambda z: sum(s * adjoint_map(o, z) for s, o in terms)
-        self.K = sum(si * sj * measure.gram(oi, oj) for si, oi in terms for sj, oj in terms)
+        if minus is None:
+            self.apply = lambda X: apply_map(op, X)
+            self.adjoint = lambda z: adjoint_map(op, z)
+            self.K = measure.gram(op)
+        else:
+            self.apply = lambda X: apply_map(op, X) - apply_map(minus, X)
+            self.adjoint = lambda z: adjoint_map(op, z) - adjoint_map(minus, z)
+            self.K = (measure.gram(op) - measure.gram(op, minus) - measure.gram(minus, op)
+                      + measure.gram(minus))
         lam, Q = np.linalg.eigh(self.K)
         # K is rounded at the scale of the Grams it sums.  A debiased Gram is
         # a difference of half Grams, whose traces sum(|beta_j|^2 |gamma_j|^2)
@@ -425,16 +450,23 @@ class _GramMap:
         X = self.solve(d)
         return X + self.solve(d - self.apply(X))
 
-    def solve_shifted(self, R, AR, y, phi):
-        """x = (I + A* Phi A)^{-1} (R + A*(y)) and A(x), given AR = A(R).
+    def shifted_solver(self, phi):
+        """solve(R, AR, y): x = (I + A* Phi A)^{-1} (R + A*(y)) and A(x), given
+        AR = A(R).
 
         Phi = phi(K) is given by its values at lam.  By the matrix-inversion
         lemma x = R + A*(g) with g = y - Q psi Q^T (A(R) + K y), psi =
         phi / (1 + lam phi), so A(x) = A(R) + K g: one adjoint, no apply.
+        psi is formed once, here.
         """
+        Q, QT, K, adjoint = self.Q, self.Q.T, self.K, self.adjoint
         psi = phi / (1.0 + self.lam * phi)
-        g = y - self.Q @ (psi * (self.Q.T @ (AR + self.K @ y)))
-        return R + self.adjoint(g), AR + self.K @ g
+
+        def solve(R, AR, y):
+            g = y - Q @ (psi * (QT @ (AR + K @ y)))
+            return R + adjoint(g), AR + K @ g
+
+        return solve
 
 
 def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
@@ -450,12 +482,12 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
     sum of the blocks' c - w + v, mapped by A for a Dantzig block.
 
     The iterate is carried through measurement space: A(Z - u) comes from
-    A(Z) and a running A(u), and A(x) from ``solve_shifted``.  So an
+    A(Z) and a running A(u), and A(x) from ``shifted_solver``.  So an
     iteration costs one apply (of Z) and one adjoint, plus for a Dantzig
     block one apply of its term and one adjoint of b - A(x).  Returns (Z,
     objective trace, iterations, converged).
     """
-    phi = sum(A.lam if dantzig else 1.0 for dantzig, _ in blocks)
+    solve = A.shifted_solver(sum(A.lam if dantzig else 1.0 for dantzig, _ in blocks))
 
     def residuals(x):
         r = b - A.apply(x)
@@ -470,7 +502,7 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
         iters = it + 1
         y = sum(A.apply(c - w + v) if dantzig else c - w + v
                 for (dantzig, _), c, w, v in zip(blocks, cs, ws, vs))
-        x, Ax = A.solve_shifted(Z - u, AZ - Au, y, phi)
+        x, Ax = solve(Z - u, AZ - Au, y)
         Z_prev = Z
         Z, by_product = prox_z(x + u)
         AZ = A.apply(Z)
@@ -479,14 +511,22 @@ def _admm(X0, A: _GramMap, b, prox_z, blocks, objective, cfg: SolverConfig):
             s = A.adjoint(r) if dantzig else r
             ws[k] = prox(s + vs[k])
             vs[k] += s - ws[k]
-        u += x - Z
+        primal = x - Z
+        u += primal
         Au += Ax - AZ
         trace.append(objective(by_product, AZ))
-        tol = _TOLERANCE * max(1.0, np.linalg.norm(x))  # on the primal and dual residuals
-        if np.linalg.norm(x - Z) <= tol and np.linalg.norm(Z - Z_prev) <= tol and it > 10:
+        # the primal and dual residuals, relative to x
+        tol = _TOLERANCE * max(1.0, _frobenius(x))
+        if it > 10 and _frobenius(primal) <= tol and _frobenius(Z - Z_prev) <= tol:
             converged = True
             break
     return Z, trace, iters, converged
+
+
+def _frobenius(X) -> float:
+    """np.linalg.norm(X), the same sum of squares, without its argument handling."""
+    v = X.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _admm_noisy(op, A: _GramMap, b, noise: NoiseSpec, cfg: SolverConfig):
@@ -613,11 +653,19 @@ def _smoothed_lq(residual, eps, q):
 def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     """min ||A(X) - b||_q^q subject to ||X||_{S_p} = 1 (0 < p <= q <= 1).
 
-    Smoothed gradient descent on sum_j (r_j^2 + eps^2)^{q/2} with a radial
-    retraction onto the Schatten-p sphere after every step; eps is
-    annealed geometrically.  For b = 0 the program is degenerate: the
-    solver still returns a sphere point with its stationarity flag, which
-    is the documented contract rather than an error.
+    At p = q = 1 (LAD on the nuclear sphere) ADMM first solves the convex
+    relaxation over the unit nuclear ball, from A^+ b / ||A^+ b||_*: its Z
+    step projects onto the ball and its one residual block is an l1 soft
+    threshold, whose weight sets only the speed.  When the ball's minimum
+    lies on the sphere (||Z||_* = 1 to ``_SPHERE_TOL``) it is the sphere
+    program's minimum too, returned as globally optimal once ADMM
+    converged.  Otherwise (Z inside the ball, b = 0, or p or q < 1) runs
+    smoothed gradient descent on sum_j (r_j^2 + eps^2)^{q/2} with a radial
+    retraction onto the Schatten-p sphere after every step, eps annealed
+    geometrically, from Z / ||Z||_* when that is defined and from the warm
+    starts below.  For b = 0 the program is degenerate: the solver still
+    returns a sphere point with its stationarity flag, which is the
+    documented contract rather than an error.
     """
     b = np.asarray(b, dtype=float)
     if cfg.p > cfg.q:
@@ -625,6 +673,27 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     m, n = op.m, op.n
     if b.shape != (op.L,):
         raise ValueError("measurement length does not match the map")
+
+    A = _GramMap(op)
+    X_ls = A.pinv(b)
+    method = f"least-q(q={cfg.q},p={cfg.p})"
+    inits, traces, total_iters = [], [], 0
+    ls_nuclear = schatten_norm(X_ls, 1.0) if cfg.p == cfg.q == 1.0 else 0.0
+    if ls_nuclear > 0:
+        Z, trace, total_iters, converged = _admm(
+            X_ls / ls_nuclear, A, b, _project_nuclear_ball,
+            [(False, lambda s: prox_power(s, 1.0, 1.0))],
+            lambda _, AZ: float(np.linalg.norm(AZ - b, 1)), cfg)
+        traces.append(trace)
+        nuclear = schatten_norm(Z, 1.0)
+        if abs(nuclear - 1.0) <= _SPHERE_TOL:
+            return RecoveryReport(
+                estimate=Z, iterations_used=total_iters, final_objective=trace[-1],
+                constraint_slack={"schatten_sphere": -abs(nuclear - 1.0)},
+                converged=converged, objective_traces=traces, method=method,
+                globally_optimal=converged)
+        if nuclear > 0:
+            inits.append(Z / nuclear)
 
     def retract(X):
         nrm = schatten_norm(X, cfg.p)
@@ -635,17 +704,16 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     # Warm starts: the adjoint image, least squares, and IRLS-l1, whose
     # reweighted sweeps down-weight the gross outliers least squares follows.
     # With A(X) = Q y the minimum-norm X is A* Q (y / lam), so sweeps fit y.
-    A = _GramMap(op)
     y = A.Q.T @ b
     for _ in range(8):
         w = 1.0 / np.sqrt(np.abs(A.Q @ y - b) + 1e-8)
         y, *_ = np.linalg.lstsq(A.Q * w[:, None], b * w, rcond=None)
-    starts = (adjoint_map(op, b), A.pinv(b), A.adjoint(A.Q @ (y / A.lam)))
-    inits = [retract(X) for X in starts if np.linalg.norm(X) > 0]
+    starts = (adjoint_map(op, b), X_ls, A.adjoint(A.Q @ (y / A.lam)))
+    inits += [retract(X) for X in starts if np.linalg.norm(X) > 0]
     inits += [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
                       .standard_normal((m, n))) for j in range(_RESTARTS - len(inits))]
 
-    best, traces, total_iters, any_converged = None, [], 0, False
+    best, any_converged = None, False
     for X0 in inits:
         X, eps, step, trace, iters, converged = X0, _SMOOTHING_INITIAL, 1.0, [], 0, False
         level_steps = 0  # steps taken at the current smoothing level
@@ -697,8 +765,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     return RecoveryReport(
         estimate=X, iterations_used=total_iters, final_objective=obj,
         constraint_slack={"schatten_sphere": -sphere_dev},
-        converged=any_converged, objective_traces=traces,
-        method=f"least-q(q={cfg.q},p={cfg.p})")
+        converged=any_converged, objective_traces=traces, method=method)
 
 
 @_single_blas_thread()

@@ -194,9 +194,10 @@ def test_cli_phase_transition_deterministic(tmp_path):
 
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
     # IRLS (phase transition), ADMM over the lq ball (bound check), PhaseLift's
-    # ADMM on the debiased map, least-q's descent (chaotic in its start, so a
-    # thread-dependent rounding shows there first), and certify, whose RUB
-    # estimate is the first pinned call of its process
+    # ADMM on the debiased map, LAD's ADMM over the nuclear ball, least-q's
+    # descent at p = q = 0.5 (chaotic in its start, so a thread-dependent
+    # rounding shows there first), and certify, whose RUB estimate is the
+    # first pinned call of its process
     if not linalg._openblas_pools():
         pytest.skip("no OpenBLAS thread-count symbols found in this process")
     ens = tmp_path / "ens.txt"
@@ -208,6 +209,8 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
          "--eta1", "0.05", "--max-iterations", "400", "--trials", "1"],
         ["phaselift-demo", "--m", "16", "--L", "160", "--trials", "1"],
         ["lad-robustness", "--m", "8", "--n", "8", "--r", "1", "--L", "120", "--trials", "1"],
+        ["phase-transition", "--m", "8", "--n", "8", "--r", "1", "--L", "120",
+         "--method", "least-q", "--p", "0.5", "--q", "0.5", "--trials", "1"],
         ["certify", "--ensemble", str(ens), "--r", "1", "--k", "2", "--eta1", "0.01",
          "--trials", "200"],
     ]
@@ -220,7 +223,7 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
                            env=checkout_env(OPENBLAS_NUM_THREADS=threads),
                            check=True, timeout=300)
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1], argv[0]
+        assert outs[0] == outs[1], argv
 
 
 def test_scipy_not_imported_without_a_solve(tmp_path, checkout_env):
