@@ -101,8 +101,11 @@ def _cmd_certify(args) -> int:
         "nsp_beta1": nsp.beta,
         "nsp_valid": nsp.valid,
     }
-    if noise is not None and exact:
-        payload["bound_lq_exact_rank"] = certify.stability_bound_schatten(
+    # a tail takes the general branch of the bound, which needs the general
+    # condition; the exact-rank branch needs the exact one
+    if noise is not None and (general.passed if args.tail > 0 else exact):
+        key = "bound_lq_general" if args.tail > 0 else "bound_lq_exact_rank"
+        payload[key] = certify.stability_bound_schatten(
             est.C1_hat, est.C2_hat, args.k, args.p, args.q, ens.L, args.r,
             noise, tail_norm=args.tail)
     fileio.write_report(args.out, payload)

@@ -33,12 +33,13 @@ module owns the algorithmic choices:
   iterate is feasible; the
   lq-ball projection at q < 1 searches the coordinates' zeroing
   breakpoints and runs safeguarded Newton between two of them;
-* least-q on the Schatten-p sphere: at p = q = 1 (LAD) the same ADMM
-  over the unit nuclear ball, its Z step the projection onto the ball and
-  its one residual block an l1 soft threshold, which solves the sphere
-  program whenever the ball's minimum lies on the sphere; otherwise (that
-  minimum inside the ball, b = 0, or p or q < 1) smoothed gradient
-  descent with backtracking and a radial retraction after every step;
+* least-q on the Schatten-p sphere: at every p and q the same ADMM over
+  the unit nuclear ball, its Z step the projection onto the ball and its
+  one residual block an l1 soft threshold, which at p = q = 1 solves the
+  sphere program whenever the ball's minimum lies on the sphere; otherwise
+  (that minimum inside the ball, b = 0, or p or q < 1) smoothed gradient
+  descent with backtracking and a radial retraction after every step,
+  first from the ADMM's point;
 * PhaseLift LAD: the same ADMM, with the spectahedron projection as the
   Z step and an l1 soft threshold as its one residual block;
 * ``prox_power``, the scalar prox of lam*|z|^p on whole arrays: the soft
@@ -62,10 +63,10 @@ starts won 10 of 1160 measured trials, all near the information limit
 (L <= 1.61 r(m+n-r); see the README).  Noisy ADMM starts at A^+ b: with
 its weight relative to ||A^+ b||, one start reaches a lower objective at
 p < 1 than the best of three seeded starts under an absolute weight did.
-So does LAD's ADMM, from A^+ b / ||A^+ b||_*.  Only least-q's descent
-keeps three starts, and seeded fill-ins for any of them that is zero,
-after the ADMM's Z / ||Z||_* where LAD fell back to it.  Reports keep
-every objective trace and distinguish "converged" from any claim of
+So does least-q's ADMM, from A^+ b / ||A^+ b||_*.  Only least-q's descent
+keeps three starts, that ADMM's point, A*(b) and A^+ b, and seeded
+fill-ins when they are zero (b orthogonal to the range of A).  Reports
+keep every objective trace and distinguish "converged" from any claim of
 global optimality (made only for a converged p = 1 equality solve, for
 the injective case and for a converged LAD solve on the sphere).
 """
@@ -121,8 +122,8 @@ class RecoveryReport:
     final_objective: float
     constraint_slack: dict
     converged: bool
-    # one trace per run: least-q's descent runs several starts, after LAD's
-    # ADMM when that ended inside the nuclear ball
+    # one trace per run: least-q's ADMM over the nuclear ball, then, unless
+    # that solved LAD, one descent per start
     objective_traces: list
     method: str = ""
     # claimed for the convex equality program at p = 1 when IRLS converged,
@@ -653,32 +654,39 @@ def _smoothed_lq(residual, eps, q):
 def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     """min ||A(X) - b||_q^q subject to ||X||_{S_p} = 1 (0 < p <= q <= 1).
 
-    At p = q = 1 (LAD on the nuclear sphere) ADMM first solves the convex
-    relaxation over the unit nuclear ball, from A^+ b / ||A^+ b||_*: its Z
-    step projects onto the ball and its one residual block is an l1 soft
-    threshold, whose weight sets only the speed.  When the ball's minimum
-    lies on the sphere (||Z||_* = 1 to ``_SPHERE_TOL``) it is the sphere
+    At every p and q, ADMM first solves LAD's convex relaxation over the
+    unit nuclear ball, from A^+ b / ||A^+ b||_*: its Z step projects onto
+    the ball and its one residual block is an l1 soft threshold, whose
+    weight sets only the speed.  At p = q = 1, when the ball's minimum lies
+    on the sphere (||Z||_* = 1 to ``_SPHERE_TOL``) it is the sphere
     program's minimum too, returned as globally optimal once ADMM
-    converged.  Otherwise (Z inside the ball, b = 0, or p or q < 1) runs
-    smoothed gradient descent on sum_j (r_j^2 + eps^2)^{q/2} with a radial
-    retraction onto the Schatten-p sphere after every step, eps annealed
-    geometrically, from Z / ||Z||_* when that is defined and from the warm
-    starts below.  For b = 0 the program is degenerate: the solver still
-    returns a sphere point with its stationarity flag, which is the
-    documented contract rather than an error.
+    converged.  Otherwise (Z inside the ball, or p or q < 1) Z retracted
+    onto the Schatten-p sphere is a candidate, and smoothed gradient
+    descent runs on sum_j (r_j^2 + eps^2)^{q/2} with a radial retraction
+    after every step, eps annealed geometrically, from that point, from
+    A*(b) and from A^+ b.  The candidate with the least sum_j |r_j|^q is
+    returned.  For b = 0 (no ADMM; seeded starts) the program is
+    degenerate: the solver still returns a sphere point with its
+    stationarity flag, which is the documented contract, not an error.
     """
     b = np.asarray(b, dtype=float)
     if cfg.p > cfg.q:
         raise ValueError("least-q requires p <= q")
-    m, n = op.m, op.n
     if b.shape != (op.L,):
         raise ValueError("measurement length does not match the map")
 
     A = _GramMap(op)
     X_ls = A.pinv(b)
     method = f"least-q(q={cfg.q},p={cfg.p})"
-    inits, traces, total_iters = [], [], 0
-    ls_nuclear = schatten_norm(X_ls, 1.0) if cfg.p == cfg.q == 1.0 else 0.0
+
+    def retract(X):
+        if (nrm := schatten_norm(X, cfg.p)) <= 0:
+            raise SolverError("cannot retract the zero matrix onto the sphere")
+        return X / nrm
+
+    # the ADMM's point and the descents' end points, scored by sum_j |r_j|^q
+    candidates, traces, total_iters = [], [], 0
+    ls_nuclear = schatten_norm(X_ls, 1.0)
     if ls_nuclear > 0:
         Z, trace, total_iters, converged = _admm(
             X_ls / ls_nuclear, A, b, _project_nuclear_ball,
@@ -686,35 +694,24 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
             lambda _, AZ: float(np.linalg.norm(AZ - b, 1)), cfg)
         traces.append(trace)
         nuclear = schatten_norm(Z, 1.0)
-        if abs(nuclear - 1.0) <= _SPHERE_TOL:
+        if cfg.p == cfg.q == 1.0 and abs(nuclear - 1.0) <= _SPHERE_TOL:
             return RecoveryReport(
                 estimate=Z, iterations_used=total_iters, final_objective=trace[-1],
                 constraint_slack={"schatten_sphere": -abs(nuclear - 1.0)},
                 converged=converged, objective_traces=traces, method=method,
                 globally_optimal=converged)
         if nuclear > 0:
-            inits.append(Z / nuclear)
+            candidates.append(retract(Z))
 
-    def retract(X):
-        nrm = schatten_norm(X, cfg.p)
-        if nrm <= 0:
-            raise SolverError("cannot retract the zero matrix onto the sphere")
-        return X / nrm
+    # Descent starts: the ADMM's point, the adjoint image and least squares,
+    # and seeded fill-ins for those that are zero (b orthogonal to range A).
+    starts = candidates + [retract(X) for X in (adjoint_map(op, b), X_ls)
+                           if np.linalg.norm(X) > 0]
+    starts += [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
+                       .standard_normal((op.m, op.n))) for j in range(_RESTARTS - len(starts))]
 
-    # Warm starts: the adjoint image, least squares, and IRLS-l1, whose
-    # reweighted sweeps down-weight the gross outliers least squares follows.
-    # With A(X) = Q y the minimum-norm X is A* Q (y / lam), so sweeps fit y.
-    y = A.Q.T @ b
-    for _ in range(8):
-        w = 1.0 / np.sqrt(np.abs(A.Q @ y - b) + 1e-8)
-        y, *_ = np.linalg.lstsq(A.Q * w[:, None], b * w, rcond=None)
-    starts = (adjoint_map(op, b), X_ls, A.adjoint(A.Q @ (y / A.lam)))
-    inits += [retract(X) for X in starts if np.linalg.norm(X) > 0]
-    inits += [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
-                      .standard_normal((m, n))) for j in range(_RESTARTS - len(inits))]
-
-    best, any_converged = None, False
-    for X0 in inits:
+    any_converged = False
+    for X0 in starts:
         X, eps, step, trace, iters, converged = X0, _SMOOTHING_INITIAL, 1.0, [], 0, False
         level_steps = 0  # steps taken at the current smoothing level
         while iters < cfg.max_iterations:
@@ -757,10 +754,9 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
         traces.append(trace)
         total_iters += iters
         any_converged = any_converged or converged
-        obj = float(np.sum(np.abs(apply_map(op, X) - b) ** cfg.q))
-        if best is None or obj < best[1]:
-            best = (X, obj)
-    X, obj = best
+        candidates.append(X)
+    objectives = [float(np.sum(np.abs(apply_map(op, X) - b) ** cfg.q)) for X in candidates]
+    X, obj = candidates[int(np.argmin(objectives))], min(objectives)
     sphere_dev = abs(schatten_norm(X, cfg.p) - 1.0)
     return RecoveryReport(
         estimate=X, iterations_used=total_iters, final_objective=obj,

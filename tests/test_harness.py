@@ -40,6 +40,15 @@ def test_phase_transition_easy_cell_succeeds():
     assert 0 <= row[header.index("successes")] <= row[header.index("trials")]
 
 
+def test_phase_transition_least_q_below_p1_succeeds():
+    # recover's least-q branch at p = q = 0.5: the nuclear-ball ADMM's point,
+    # retracted onto the Schatten-0.5 sphere, starts the descent
+    cfg = ExperimentConfig(kind="phase_transition", m=8, n=8, ranks=(1,), Ls=(60,),
+                           trials=3, method="least-q", p=0.5, q=0.5, seed=0)
+    header, (row,) = harness.run_experiment(cfg)
+    assert row[header.index("success_rate")] == 1.0
+
+
 def test_phase_transition_rows_carry_seed():
     cfg = ExperimentConfig(kind="phase_transition", m=4, n=4, ranks=(1,),
                            Ls=(0,), trials=2, seed=9)

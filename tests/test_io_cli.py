@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import roprec
-from roprec import cli, fileio, harness, linalg, measure, solvers
+from roprec import certify, cli, fileio, harness, linalg, measure, solvers
 from roprec.harness import ExperimentConfig
+from roprec.measure import NoiseSpec
 
 rng = np.random.default_rng(31)
 
@@ -160,6 +161,68 @@ def test_cli_certify_bad_input_exits_2_without_a_report(tmp_path, capsys, extra)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k, tail, key", [
+    (2, "0", "bound_lq_exact_rank"),
+    # k = 2 meets the exact condition but not the general one, which the
+    # general branch of the bound needs: no bound, and no ConditionViolated
+    (2, "0.1", None),
+    (10, "0.1", "bound_lq_general"),
+])
+def test_cli_certify_bound_branch(tmp_path, k, tail, key):
+    ens_path, out = tmp_path / "ens.txt", tmp_path / "cert.json"
+    assert cli.main(["sample", "--m", "12", "--n", "12", "--L", "150", "--seed", "1",
+                     "--out", str(ens_path)]) == 0
+    assert cli.main(["certify", "--ensemble", str(ens_path), "--r", "1", "--k", str(k),
+                     "--p", "0.5", "--q", "1", "--eta1", "0.01", "--tail", tail,
+                     "--trials", "200", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert cert["exact_condition"] and cert["general_condition"] == (k == 10)
+    bounds = {name for name in cert if name.startswith("bound_")}
+    assert bounds == ({key} if key else set())
+    if key:
+        noise = NoiseSpec(kind="lq_bounded", q=1.0, eta1=0.01)
+        assert cert[key] == certify.stability_bound_schatten(
+            cert["C1_hat"], cert["C2_hat"], k, 0.5, 1.0, 150, 1, noise, tail_norm=float(tail))
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    ("matrix", "", "line 1: empty matrix file"),
+    ("matrix", "2 x\n", "line 1: expected 'm n' header"),
+    ("matrix", "2 2\n1.0 2.0\n3.0\n", "line 3: expected 2 values, got 1"),
+    ("matrix", "1 2\n1.0 x\n", "line 2: bad float"),
+    ("ensemble", "ROP 2 2 x 0\n", "line 1: bad header fields"),
+    ("ensemble", "ROP 2 2 3 0\nbeta: 1 2 gamma: 3 4\n",
+     "line 3: expected 3 measurement lines, file truncated"),
+    ("ensemble", "ROP 2 2 1 0\nbeta: 1 2 3 4\n",
+     "line 2: expected 'beta: <2 floats> gamma: <2 floats>'"),
+    ("ensemble", "ROP 2 2 1 0\nbeta: 1 x gamma: 3 4\n", "line 2: bad float"),
+    ("measurements", "MEAS x\n", "line 1: bad header"),
+    ("measurements", "MEAS 3\n1.0\n", "line 3: expected 3 values, file truncated"),
+    ("measurements", "MEAS 2\n1.0\nx\n", "bad float in measurement body"),
+    ("config", "m 4\n", "line 1: expected key=value"),
+], ids=["matrix-empty", "matrix-header", "matrix-count", "matrix-float", "ensemble-header",
+        "ensemble-truncated", "ensemble-line", "ensemble-float", "measurements-header",
+        "measurements-truncated", "measurements-float", "config-no-equals"])
+def test_cli_malformed_file_exits_2_naming_it(tmp_path, capsys, reader, text, where):
+    bad, ens = tmp_path / "bad.txt", tmp_path / "ens.txt"
+    bad.write_text(text)
+    fileio.write_ensemble(ens, measure.sample_gaussian_rop(2, 2, 3, seed=0))
+    fileio.write_matrix(tmp_path / "x.txt", np.eye(2))
+    fileio.write_measurements(tmp_path / "b.txt", np.zeros(3))
+    out = str(tmp_path / "out")
+    argv = {
+        "matrix": ["measure", "--ensemble", str(ens), "--matrix", str(bad), "--out", out],
+        "ensemble": ["measure", "--ensemble", str(bad), "--matrix", str(tmp_path / "x.txt"),
+                     "--out", out],
+        "measurements": ["recover", "--ensemble", str(ens), "--measurements", str(bad),
+                         "--out", out],
+        "config": ["sample", "--config", str(bad), "--m", "2", "--n", "2", "--L", "3",
+                   "--out", out],
+    }[reader]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {where}\n"
 
 
 def test_cli_bound_check_rejects_k_before_any_trial(tmp_path, capsys, monkeypatch):
