@@ -64,11 +64,12 @@ starts won 10 of 1160 measured trials, all near the information limit
 its weight relative to ||A^+ b||, one start reaches a lower objective at
 p < 1 than the best of three seeded starts under an absolute weight did.
 So does least-q's ADMM, from A^+ b / ||A^+ b||_*.  Only least-q's descent
-keeps three starts, that ADMM's point, A*(b) and A^+ b, and seeded
-fill-ins when they are zero (b orthogonal to the range of A).  Reports
-keep every objective trace and distinguish "converged" from any claim of
-global optimality (made only for a converged p = 1 equality solve, for
-the injective case and for a converged LAD solve on the sphere).
+runs twice, from that ADMM's point and from A^+ b (a start from A*(b) won
+no recovery in a 360-draw sweep), or once from a seeded start when
+A^+ b = 0.  Reports keep every objective trace, give the returned
+candidate's own "converged" flag and keep it apart from any claim of global
+optimality (made only for a converged p = 1 equality solve, for the
+injective case and for a converged LAD solve on the sphere).
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ from .measure import NoiseSpec, RopEnsemble, apply_map, adjoint_map
 _STREAM_SOLVER = 7
 
 # Relative-change stopping tolerance, smoothing start, per-level decay and
-# floor, the faster decay of harmonic-mean IRLS, starts of least-q, the
-# noisy ADMM's Schatten-p prox weight over ||A^+ b||_F^{2-p}, the slack
-# allowed when a result is checked against its set, and how near the unit
-# nuclear sphere LAD's ADMM must end for its minimum to count as on it.
+# floor, the faster decay of harmonic-mean IRLS, the noisy ADMM's Schatten-p
+# prox weight over ||A^+ b||_F^{2-p}, the slack allowed when a result is
+# checked against its set, and how near the unit nuclear sphere LAD's ADMM
+# must end for its minimum to count as on it.
 _TOLERANCE = 1e-7
 _SMOOTHING_INITIAL = 1e-1
 _SMOOTHING_DECAY = 0.7
 _SMOOTHING_FLOOR = 1e-10
 _IRLS_HM_DECAY = 0.1
-_RESTARTS = 3
 _ADMM_PROX_SCALE = 0.1
 _FEASIBILITY_TOL = 1e-6
 _SPHERE_TOL = 1e-8
@@ -123,7 +123,7 @@ class RecoveryReport:
     constraint_slack: dict
     converged: bool
     # one trace per run: least-q's ADMM over the nuclear ball, then, unless
-    # that solved LAD, one descent per start
+    # that solved LAD, descents from its point and A^+ b (or one seeded one)
     objective_traces: list
     method: str = ""
     # claimed for the convex equality program at p = 1 when IRLS converged,
@@ -663,11 +663,12 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
     converged.  Otherwise (Z inside the ball, or p or q < 1) Z retracted
     onto the Schatten-p sphere is a candidate, and smoothed gradient
     descent runs on sum_j (r_j^2 + eps^2)^{q/2} with a radial retraction
-    after every step, eps annealed geometrically, from that point, from
-    A*(b) and from A^+ b.  The candidate with the least sum_j |r_j|^q is
-    returned.  For b = 0 (no ADMM; seeded starts) the program is
-    degenerate: the solver still returns a sphere point with its
-    stationarity flag, which is the documented contract, not an error.
+    after every step, eps annealed geometrically, from that point and
+    from A^+ b.  The candidate with the least sum_j |r_j|^q is returned
+    with its own ``converged`` flag.  For A^+ b = 0 (in practice b = 0;
+    no ADMM, one seeded start) the program is degenerate: the solver
+    still returns a sphere point with its stationarity flag, which is the
+    documented contract, not an error.
     """
     b = np.asarray(b, dtype=float)
     if cfg.p > cfg.q:
@@ -684,7 +685,7 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
             raise SolverError("cannot retract the zero matrix onto the sphere")
         return X / nrm
 
-    # the ADMM's point and the descents' end points, scored by sum_j |r_j|^q
+    # (point, converged) of the ADMM and the descents, scored by sum_j |r_j|^q
     candidates, traces, total_iters = [], [], 0
     ls_nuclear = schatten_norm(X_ls, 1.0)
     if ls_nuclear > 0:
@@ -701,16 +702,12 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
                 converged=converged, objective_traces=traces, method=method,
                 globally_optimal=converged)
         if nuclear > 0:
-            candidates.append(retract(Z))
+            candidates.append((retract(Z), converged))
+        starts = [X for X, _ in candidates] + [retract(X_ls)]
+    else:  # b orthogonal to the range of A
+        starts = [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100)
+                          .standard_normal((op.m, op.n)))]
 
-    # Descent starts: the ADMM's point, the adjoint image and least squares,
-    # and seeded fill-ins for those that are zero (b orthogonal to range A).
-    starts = candidates + [retract(X) for X in (adjoint_map(op, b), X_ls)
-                           if np.linalg.norm(X) > 0]
-    starts += [retract(measure._substream(cfg.seed, _STREAM_SOLVER, 100 + j)
-                       .standard_normal((op.m, op.n))) for j in range(_RESTARTS - len(starts))]
-
-    any_converged = False
     for X0 in starts:
         X, eps, step, trace, iters, converged = X0, _SMOOTHING_INITIAL, 1.0, [], 0, False
         level_steps = 0  # steps taken at the current smoothing level
@@ -753,15 +750,14 @@ def least_q_minimize(op, b, cfg: SolverConfig) -> RecoveryReport:
                     level_steps = 0
         traces.append(trace)
         total_iters += iters
-        any_converged = any_converged or converged
-        candidates.append(X)
-    objectives = [float(np.sum(np.abs(apply_map(op, X) - b) ** cfg.q)) for X in candidates]
-    X, obj = candidates[int(np.argmin(objectives))], min(objectives)
+        candidates.append((X, converged))
+    objectives = [float(np.sum(np.abs(apply_map(op, X) - b) ** cfg.q)) for X, _ in candidates]
+    (X, converged), obj = candidates[int(np.argmin(objectives))], min(objectives)
     sphere_dev = abs(schatten_norm(X, cfg.p) - 1.0)
     return RecoveryReport(
         estimate=X, iterations_used=total_iters, final_objective=obj,
         constraint_slack={"schatten_sphere": -sphere_dev},
-        converged=any_converged, objective_traces=traces, method=method)
+        converged=converged, objective_traces=traces, method=method)
 
 
 @_single_blas_thread()

@@ -810,9 +810,9 @@ def test_least_q_below_p1_on_criterion_09_draws(p, q, draws):
                 <= 1e-7 * np.linalg.norm(report.estimate), t
 
 
-def test_least_q_below_p1_runs_the_admm_then_three_descents(monkeypatch):
-    # one ADMM trace, then descents from its point, A*(b) and A^+ b; no
-    # start comes from an lstsq sweep
+def test_least_q_below_p1_runs_the_admm_then_two_descents(monkeypatch):
+    # one ADMM trace, then descents from its point and A^+ b; no start comes
+    # from an lstsq sweep
     def no_lstsq(*args, **kwargs):
         raise AssertionError("lstsq ran")
 
@@ -820,7 +820,52 @@ def test_least_q_below_p1_runs_the_admm_then_three_descents(monkeypatch):
     b = measure.apply_map(ens, harness.plant_truth(6, 6, 1, 4, norm="sp", p=0.5))
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     report = solvers.least_q_minimize(ens, b, SolverConfig(p=0.5, q=0.5, max_iterations=50))
-    assert len(report.objective_traces) == 4
+    assert len(report.objective_traces) == 3
+
+
+def _lq_draw(m, r, L, p, t, corrupt=False):
+    seed = harness.derive_seed(2026, 0, t)
+    X0 = harness.plant_truth(m, m, r, seed, norm="sp", p=p)
+    ens = measure.sample_gaussian_rop(m, m, L, seed=seed)
+    b = measure.apply_map(ens, X0)
+    return X0, ens, harness._corrupt(b, 0.05, 10.0, seed) if corrupt else b, seed
+
+
+def test_least_q_descent_from_a_plus_b_recovers_rank_two():
+    # clean r = 2 draws at p = q = 0.5: the ADMM's point keeps a singular-value
+    # tail, and the recoveries come from the descent from A^+ b (largest
+    # relative error measured 4.6e-8; none of the 6 recovers without it)
+    for t in range(6):
+        X0, ens, b, seed = _lq_draw(8, 2, 90, 0.5, t)
+        report = solvers.least_q_minimize(
+            ens, b, SolverConfig(p=0.5, q=0.5, max_iterations=600, seed=seed))
+        assert np.linalg.norm(report.estimate - X0) <= 1e-6 * np.linalg.norm(X0), t
+
+
+def test_lad_descent_from_the_admm_point_reaches_the_sphere_minimum():
+    # m = n = 8, r = 1, L = 24, clean, p = q = 1: the ball's minimum lies inside
+    # the ball, and only the descent from the ADMM's point finds sphere points
+    # with objective near 0 (largest measured 3.2e-6; 0.07-0.47 without it)
+    for t in range(5):
+        X0, ens, b, seed = _lq_draw(8, 1, 24, 1.0, t)
+        report = solvers.least_q_minimize(
+            ens, b, SolverConfig(p=1.0, q=1.0, max_iterations=600, seed=seed))
+        assert not report.globally_optimal, t
+        assert report.final_objective <= 1e-5, t
+
+
+def test_least_q_reports_the_returned_candidates_convergence():
+    # 5% corrupted r = 1 draw at L = 24, p = q = 0.5: the ADMM runs its whole
+    # budget without converging, while both descents stop short of it, so
+    # converge.  The ADMM's point is returned, and the report must say that
+    # it did not converge.
+    _, ens, b, seed = _lq_draw(8, 1, 24, 0.5, 0, corrupt=True)
+    cfg = SolverConfig(p=0.5, q=0.5, max_iterations=600, seed=seed)
+    report = solvers.least_q_minimize(ens, b, cfg)
+    admm, *descents = report.objective_traces
+    assert len(admm) == cfg.max_iterations
+    assert all(len(trace) < cfg.max_iterations for trace in descents)
+    assert not report.converged
 
 
 def test_lad_interior_ball_minimum_falls_back_to_descent():
@@ -839,10 +884,13 @@ def test_lad_interior_ball_minimum_falls_back_to_descent():
 
 def test_least_q_zero_measurements_contract():
     ens = measure.sample_gaussian_rop(4, 4, 20, seed=12)
-    report = solvers.least_q_minimize(ens, np.zeros(20),
-                                      SolverConfig(p=1.0, q=1.0, max_iterations=50))
-    # documented degenerate contract: a sphere point comes back, no error
-    assert abs(linalg.schatten_norm(report.estimate, 1.0) - 1.0) <= 1e-8
+    for p in (1.0, 0.5):
+        report = solvers.least_q_minimize(ens, np.zeros(20),
+                                          SolverConfig(p=p, q=p, max_iterations=50))
+        # documented degenerate contract: a sphere point comes back, no error,
+        # from one seeded descent (A^+ b = 0, so no ADMM)
+        assert abs(linalg.schatten_norm(report.estimate, p) - 1.0) <= 1e-8
+        assert len(report.objective_traces) == 1
 
 
 def test_least_q_requires_p_le_q():
