@@ -7,23 +7,28 @@ module owns the algorithmic choices:
   injective (L >= mn and rank mn) the feasible set is one point, the
   minimizer for every p, found by one least-squares solve; otherwise
   matrix IRLS, the weighted least-squares subproblem solved through the
-  measurement Gram matrix.  At p < 1 the weight is the harmonic mean of
-  the left and right weights (X X^T + eps I)^{p/2-1} and
-  (X^T X + eps I)^{p/2-1} (Kuemmerle & Sigl 2018), both from one SVD of
-  the iterate, and eps decays by 0.1 per iteration.  The squared singular
-  values give a tail eigenvalue sigma_i^2, which (w + eps)^{p/2}
-  amplifies once eps is small, to about u sigma_1 sigma_i (u the unit
-  roundoff), where eigh of X X^T rounds it at u sigma_1^2; with eigh the
-  smoothed objective can rise from one iterate to the next, and does on
-  many instances under the fast decay.  At p = 1 the weight is the left
-  one alone, from the same SVD, and eps decays by 0.7.  p = 1 stays
-  one-sided on purpose: within criterion 04's 200 iterations the
-  one-sided form stops short of the nuclear-norm minimum at L = 200
-  (m = n = 20, r = 2), where the harmonic-mean form reaches it and
-  recovers the truth, and the criterion's strict cell needs the convex
-  baseline to fail there.  eps starts at 0.1 and is floored at
-  1e-10, both times ||X_mf||_F^2 for the minimum-Frobenius feasible
-  point X_mf, so the iterates scale with b;
+  measurement Gram matrix, by Cholesky unless L exceeds the map's rank
+  bound (mn, or m(m+1)/2 for a symmetric ensemble), where the Gram is
+  singular.  Both least-squares solves, of the explicit operator and of
+  a singular Gram, are LAPACK gelsy, a QR with column pivoting that
+  reveals the rank with numpy's cutoff at a fraction of the cost of the
+  SVD-based gelsd (10 ms against 26 ms at m = n = 20, L = 480).  At
+  p < 1 the weight is the harmonic mean of the left and right weights
+  (X X^T + eps I)^{p/2-1} and (X^T X + eps I)^{p/2-1} (Kuemmerle &
+  Sigl 2018), both from one SVD of the iterate, and eps decays by 0.1
+  per iteration.  The squared singular values give a tail eigenvalue
+  sigma_i^2, which (w + eps)^{p/2} amplifies once eps is small, to
+  about u sigma_1 sigma_i (u the unit roundoff), where eigh of X X^T
+  rounds it at u sigma_1^2; with eigh the smoothed objective can rise
+  from one iterate to the next, and does on many instances under the
+  fast decay.  At p = 1 the weight is the left one alone, from the same
+  SVD, and eps decays by 0.7.  p = 1 stays one-sided on purpose: within
+  criterion 04's 200 iterations the one-sided form stops short of the
+  nuclear-norm minimum at L = 200 (m = n = 20, r = 2), where the
+  harmonic-mean form reaches it and recovers the truth, and the
+  criterion's strict cell needs the convex baseline to fail there.  eps
+  starts at 0.1 and is floored at 1e-10, both times ||X_mf||_F^2 for the
+  minimum-Frobenius feasible point X_mf, so the iterates scale with b;
 * noisy constraint sets (the lq-bounded / Dantzig / intersection kinds
   of ``measure.NoiseSpec``, the same set the noise is drawn onto): ADMM
   from A^+ b with the Schatten-p proximal applied singular-value-wise,
@@ -319,24 +324,48 @@ def _wls_solver(op: RopEnsemble):
     """
     measure.check_gram_size(op.L)
     gram_beta, gram_gamma = op.betas @ op.betas.T, op.gammas @ op.gammas.T
+    # G = A H A* has the rank of A, at most _rank_bound(op): past it G is
+    # singular and its Cholesky cannot succeed
+    solve_gram = _solve_psd if op.L <= _rank_bound(op) else lambda G, b: _lstsq(G, b)[0]
 
     def solve(W_L, b, W_R=None):
         BW = op.betas @ W_L
         G = (BW @ op.betas.T) * gram_gamma
         if W_R is None:
-            lam = _solve_psd(G, b)
+            lam = solve_gram(G, b)
             return BW.T @ (lam[:, None] * op.gammas)
         CW = op.gammas @ W_R
-        lam = _solve_psd(0.5 * (G + gram_beta * (CW @ op.gammas.T)), b)
+        lam = solve_gram(0.5 * (G + gram_beta * (CW @ op.gammas.T)), b)
         return 0.5 * (BW.T @ (lam[:, None] * op.gammas) + (lam[:, None] * op.betas).T @ CW)
 
     return solve
 
 
-def _solve_psd(G, b):
+def _rank_bound(op):
+    """An upper bound on the rank of the map: a symmetric ensemble sees only
+    the symmetric part of X, so at most m(m+1)/2; otherwise mn."""
+    return op.m * (op.m + 1) // 2 if op.symmetric else op.m * op.n
+
+
+def _lstsq(M, b):
+    """(x, rank): the minimum-norm least-squares solution of M x = b.
+
+    LAPACK gelsy, a QR with column pivoting (Quintana-Orti, Sun & Bischof
+    1998), reveals the rank at a fraction of the cost of the SVD that
+    gelsd (numpy's lstsq) computes.  The cutoff eps * max(M.shape) is
+    numpy's rcond=None; scipy's default would be bare eps.
+    """
     # imported here, not at module level, so that processes that never
     # solve (sample, measure) start without scipy; the BLAS pin loads it
     # before this runs (see linalg._openblas_pools)
+    import scipy.linalg
+
+    x, _, rank, _ = scipy.linalg.lstsq(M, b, cond=np.finfo(float).eps * max(M.shape),
+                                       lapack_driver="gelsy", check_finite=False)
+    return x, rank
+
+
+def _solve_psd(G, b):
     import scipy.linalg
 
     try:
@@ -346,8 +375,7 @@ def _solve_psd(G, b):
             return lam
     except np.linalg.LinAlgError:
         pass
-    lam, *_ = np.linalg.lstsq(G, b, rcond=None)
-    return lam
+    return _lstsq(G, b)[0]
 
 
 def _svd_eigenpairs(X):
@@ -585,16 +613,19 @@ def _unique_feasible_point(op, b):
 
     With L >= mn and rank mn the feasible set is a single point, the
     minimizer for every p, so one least-squares solve stands in for IRLS.
-    If b is not in the range of A the point is the least-squares fit, and
-    the equality slack reports the miss.  A rank-deficient map (a
-    symmetric ensemble has rank at most m(m+1)/2) gives None.  Past the
-    explicit-operator cap the ResourceError stands, as L >= mn > 4096
-    puts IRLS's Gram past its cap too.
+    The solve is a pivoted QR of the explicit L x mn operator (``_lstsq``,
+    LAPACK gelsy), whose rank decision uses numpy's cutoff; at m = n = 20,
+    L = 480 it takes 10 ms where the SVD-based gelsd took 26 ms.  If b is
+    not in the range of A the point is the least-squares fit, and the
+    equality slack reports the miss.  A rank-deficient map gives None, a
+    symmetric ensemble (rank at most m(m+1)/2) without forming the
+    operator.  Past the explicit-operator cap the ResourceError stands,
+    as L >= mn > 4096 puts IRLS's Gram past its cap too.
     """
     mn = op.m * op.n
-    if op.L < mn:
+    if min(op.L, _rank_bound(op)) < mn:
         return None
-    x, _, rank, _ = np.linalg.lstsq(measure.explicit_operator(op), b, rcond=None)
+    x, rank = _lstsq(measure.explicit_operator(op), b)
     return x.reshape(op.m, op.n) if rank == mn else None
 
 

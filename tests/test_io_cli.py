@@ -256,11 +256,12 @@ def test_cli_phase_transition_deterministic(tmp_path):
 
 
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
-    # IRLS (phase transition), ADMM over the lq ball (bound check), PhaseLift's
-    # ADMM on the debiased map, LAD's ADMM over the nuclear ball, least-q's
-    # descent at p = q = 0.5 (chaotic in its start, so a thread-dependent
-    # rounding shows there first), and certify, whose RUB estimate is the
-    # first pinned call of its process
+    # IRLS (phase transition), the injective nuclear cell's one pivoted-QR
+    # least-squares solve (scipy's LAPACK), ADMM over the lq ball (bound
+    # check), PhaseLift's ADMM on the debiased map, LAD's ADMM over the
+    # nuclear ball, least-q's descent at p = q = 0.5 (chaotic in its start,
+    # so a thread-dependent rounding shows there first), and certify, whose
+    # RUB estimate is the first pinned call of its process
     if not linalg._openblas_pools():
         pytest.skip("no OpenBLAS thread-count symbols found in this process")
     ens = tmp_path / "ens.txt"
@@ -268,6 +269,8 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, checkout_env):
     runs = [
         ["phase-transition", "--m", "20", "--n", "20", "--r", "2", "--L", "240",
          "--method", "schatten-p", "--p", "0.5", "--max-iterations", "200", "--trials", "1"],
+        ["phase-transition", "--m", "20", "--n", "20", "--r", "2", "--L", "480",
+         "--method", "nuclear", "--trials", "1"],
         ["bound-check", "--m", "12", "--n", "12", "--r", "1", "--L", "150",
          "--eta1", "0.05", "--max-iterations", "400", "--trials", "1"],
         ["phaselift-demo", "--m", "16", "--L", "160", "--trials", "1"],

@@ -619,18 +619,37 @@ def test_injective_solve_recovers_planted_property():
     check()
 
 
-def test_symmetric_ensemble_at_large_L_still_runs_irls():
-    # a symmetric map has rank at most m(m+1)/2 = 10 < mn = 16 even at L = 30
+def test_symmetric_ensemble_at_large_L_still_runs_irls(monkeypatch):
+    # a symmetric map has rank at most m(m+1)/2 = 10 < mn = 16 even at L = 30,
+    # and so has its IRLS Gram, so its Cholesky cannot succeed: every step
+    # goes straight to least squares.  With the rank bound lifted, each of
+    # the 53 Gram solves (X_mf and 52 iterations) tries the Cholesky first,
+    # and the estimate is the same.
+    import scipy.linalg
+
+    calls, cho_factor = [], scipy.linalg.cho_factor
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", spy)
     m, L = 4, 30
     ens = measure.sample_gaussian_rop(m, m, L, symmetric=True, seed=21)
     assert np.linalg.matrix_rank(measure.explicit_operator(ens)) == 10
     x = np.random.default_rng(22).standard_normal(m)
     X0 = np.outer(x, x) / (x @ x)
     b = measure.apply_map(ens, X0)
-    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
-                                         SolverConfig(p=1.0, max_iterations=300))
+    cfg = SolverConfig(p=1.0, max_iterations=300)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
     assert report.iterations_used > 1
     assert np.linalg.norm(report.estimate - X0) <= 1e-8
+    assert calls == []
+    monkeypatch.setattr(solvers, "_rank_bound", lambda op: op.L)
+    tried = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"), cfg)
+    assert len(calls) == tried.iterations_used + 1 == report.iterations_used + 1 == 53
+    assert np.linalg.norm(report.estimate - tried.estimate) <= \
+        1e-10 * np.linalg.norm(tried.estimate)
 
 
 def test_injective_inconsistent_measurements_report_slack():
@@ -643,6 +662,40 @@ def test_injective_inconsistent_measurements_report_slack():
     assert report.constraint_slack["equality"] < -1e-3
     x_ls = np.linalg.lstsq(measure.explicit_operator(ens), b, rcond=None)[0]
     assert np.allclose(report.estimate.ravel(), x_ls, rtol=0, atol=1e-12)
+
+
+def test_unique_feasible_point_rank_decision_property():
+    # None exactly when the explicit operator is rank deficient, on random
+    # maps and on degenerate ones: symmetric ensembles (flagged, or with
+    # gammas equal to betas but unflagged, so the pivoted QR must see the
+    # rank), gammas all equal (rank at most m), L = mn exactly, m or n = 1;
+    # a returned point is numpy's (SVD-based) least-squares solution
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(kind=st.sampled_from(["gaussian", "symmetric", "unflagged", "equal"]),
+                      m=st.integers(1, 6), n=st.integers(1, 6), extra=st.integers(-2, 12),
+                      consistent=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def check(kind, m, n, extra, consistent, seed):
+        if kind in ("symmetric", "unflagged"):
+            n = m
+        L = max(1, m * n + extra)
+        ens = measure.sample_gaussian_rop(m, n, L, symmetric=kind == "symmetric", seed=seed)
+        if kind == "unflagged":
+            ens = measure.RopEnsemble(betas=ens.betas, gammas=ens.betas.copy())
+        elif kind == "equal":
+            ens = measure.RopEnsemble(betas=ens.betas, gammas=np.tile(ens.gammas[0], (L, 1)))
+        M = measure.explicit_operator(ens)
+        g = np.random.default_rng(seed)
+        b = M @ g.standard_normal(m * n) if consistent else g.standard_normal(L)
+        x = solvers._unique_feasible_point(ens, b)
+        assert (x is None) == (np.linalg.matrix_rank(M) < m * n)
+        if x is not None:
+            x_ls = np.linalg.lstsq(M, b, rcond=None)[0]
+            assert np.linalg.norm(x.ravel() - x_ls) <= 1e-10 * np.linalg.norm(x_ls)
+
+    check()
 
 
 def test_injective_check_past_explicit_cap_raises_resource_error():
