@@ -90,6 +90,7 @@ def read_ensemble(path) -> RopEnsemble:
             gammas[j] = [float(t) for t in parts[m + 2:]]
         except ValueError as exc:
             raise ParseError(f"{path}: line {j + 2}: bad float") from exc
+    _check_finite(path, np.isfinite(betas).all(axis=1) & np.isfinite(gammas).all(axis=1))
     try:  # a symmetric ensemble checks that its gammas equal its betas
         return RopEnsemble(betas=betas, gammas=gammas, symmetric=bool(sym))
     except ValueError as exc:
@@ -119,9 +120,17 @@ def read_measurements(path) -> np.ndarray:
     if len(lines) < L + 1:
         raise ParseError(f"{path}: line {len(lines) + 1}: expected {L} values, file truncated")
     try:
-        return np.array([float(lines[1 + j]) for j in range(L)])
+        b = np.array([float(lines[1 + j]) for j in range(L)])
     except ValueError as exc:
         raise ParseError(f"{path}: bad float in measurement body") from exc
+    _check_finite(path, np.isfinite(b))
+    return b
+
+
+def _check_finite(path, finite_rows) -> None:
+    """float() reads 'nan' and 'inf'; no ensemble or measurement holds one."""
+    if not finite_rows.all():
+        raise ParseError(f"{path}: line {int(np.argmin(finite_rows)) + 2}: non-finite value")
 
 
 # -- reports and configs ----------------------------------------------------

@@ -353,7 +353,8 @@ def _lstsq(M, b):
     LAPACK gelsy, a QR with column pivoting (Quintana-Orti, Sun & Bischof
     1998), reveals the rank at a fraction of the cost of the SVD that
     gelsd (numpy's lstsq) computes.  The cutoff eps * max(M.shape) is
-    numpy's rcond=None; scipy's default would be bare eps.
+    numpy's rcond=None; scipy's default would be bare eps.  Non-finite
+    input raises ValueError (scipy's check_finite, one scan of M).
     """
     # imported here, not at module level, so that processes that never
     # solve (sample, measure) start without scipy; the BLAS pin loads it
@@ -361,7 +362,7 @@ def _lstsq(M, b):
     import scipy.linalg
 
     x, _, rank, _ = scipy.linalg.lstsq(M, b, cond=np.finfo(float).eps * max(M.shape),
-                                       lapack_driver="gelsy", check_finite=False)
+                                       lapack_driver="gelsy")
     return x, rank
 
 
@@ -617,13 +618,14 @@ def _unique_feasible_point(op, b):
     LAPACK gelsy), whose rank decision uses numpy's cutoff; at m = n = 20,
     L = 480 it takes 10 ms where the SVD-based gelsd took 26 ms.  If b is
     not in the range of A the point is the least-squares fit, and the
-    equality slack reports the miss.  A rank-deficient map gives None, a
-    symmetric ensemble (rank at most m(m+1)/2) without forming the
-    operator.  Past the explicit-operator cap the ResourceError stands,
+    equality slack reports the miss.  A rank-deficient map (a symmetric
+    ensemble has rank at most m(m+1)/2) gives None.  A non-finite operator
+    or b is a ValueError, as it was under gelsd; gelsy would return a
+    garbage rank.  Past the explicit-operator cap the ResourceError stands,
     as L >= mn > 4096 puts IRLS's Gram past its cap too.
     """
     mn = op.m * op.n
-    if min(op.L, _rank_bound(op)) < mn:
+    if op.L < mn:
         return None
     x, rank = _lstsq(measure.explicit_operator(op), b)
     return x.reshape(op.m, op.n) if rank == mn else None

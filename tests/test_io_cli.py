@@ -83,6 +83,23 @@ def test_measurements_bad_header(tmp_path):
         fileio.read_measurements(path)
 
 
+def test_non_finite_ensemble_or_measurement_names_line(tmp_path, capsys):
+    # float() reads 'nan' and 'inf'; the readers refuse them at the line
+    ens_path, b_path = tmp_path / "ens.txt", tmp_path / "b.txt"
+    ens_path.write_text("ROP 2 2 2 0\nbeta: 1.0 0.0 gamma: 5.0 7.0\n"
+                        "beta: 0.0 nan gamma: 0.0 1.0\n")
+    with pytest.raises(fileio.ParseError, match="ens.txt: line 3: non-finite"):
+        fileio.read_ensemble(ens_path)
+    b_path.write_text("MEAS 3\n1.0\n2.0\n-inf\n")
+    with pytest.raises(fileio.ParseError, match="b.txt: line 4: non-finite"):
+        fileio.read_measurements(b_path)
+    fileio.write_ensemble(ens_path, measure.sample_gaussian_rop(2, 2, 3, seed=1))
+    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--method", "nuclear", "--out", str(tmp_path / "rep.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_config_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("# comment\nm = 16\nmethod=nuclear\n\ntrials = 25\n")

@@ -664,6 +664,34 @@ def test_injective_inconsistent_measurements_report_slack():
     assert np.allclose(report.estimate.ravel(), x_ls, rtol=0, atol=1e-12)
 
 
+def test_unique_feasible_point_uses_numpys_rank_cutoff():
+    # gammas equal up to 1e-14: six singular values of the 400 x 9 operator
+    # sit near 1e-14 sigma_1, below numpy's cutoff eps * max(L, mn) but well
+    # above scipy's default of bare eps, which would call the map injective
+    m, L = 3, 400
+    ens = measure.sample_gaussian_rop(m, m, L, seed=0)
+    g = np.random.default_rng(0)
+    gammas = np.tile(ens.gammas[0], (L, 1)) + 1e-14 * g.standard_normal((L, m))
+    ens = measure.RopEnsemble(betas=ens.betas, gammas=gammas)
+    M = measure.explicit_operator(ens)
+    s = np.linalg.svd(M, compute_uv=False)
+    assert np.linalg.matrix_rank(M) == m and s[-1] > 20 * np.finfo(float).eps * s[0]
+    assert solvers._unique_feasible_point(ens, g.standard_normal(L)) is None
+
+
+def test_least_squares_refuses_non_finite_input():
+    # gelsy does not check its input: on a NaN operator it returns a rank
+    # that means nothing, where numpy's gelsd raised
+    ens, _, b = _planted(3, 3, 1, 12, seed=5)
+    ens.betas[4, 1] = np.nan
+    with pytest.raises(ValueError):
+        solvers._unique_feasible_point(ens, b)
+    G = np.eye(4)
+    G[1, 2] = np.inf
+    with pytest.raises(ValueError):
+        solvers._solve_psd(G, np.ones(4))
+
+
 def test_unique_feasible_point_rank_decision_property():
     # None exactly when the explicit operator is rank deficient, on random
     # maps and on degenerate ones: symmetric ensembles (flagged, or with
@@ -872,6 +900,7 @@ def test_least_q_below_p1_runs_the_admm_then_two_descents(monkeypatch):
     ens = measure.sample_gaussian_rop(6, 6, 60, seed=4)
     b = measure.apply_map(ens, harness.plant_truth(6, 6, 1, 4, norm="sp", p=0.5))
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(solvers, "_lstsq", no_lstsq)
     report = solvers.least_q_minimize(ens, b, SolverConfig(p=0.5, q=0.5, max_iterations=50))
     assert len(report.objective_traces) == 3
 
