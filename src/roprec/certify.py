@@ -60,8 +60,12 @@ class NspConstants:
 
 
 def _rank_r_sample(m: int, n: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian-factor rank-r matrix, normalized to unit Frobenius norm."""
-    X = rng.standard_normal((m, r)) @ rng.standard_normal((n, r)).T
+    """Gaussian-factor rank-r matrix, normalized to unit Frobenius norm.
+
+    Both factors come from one draw: the (m, r) factor then the (n, r) one.
+    """
+    D = rng.standard_normal((m + n, r))
+    X = D[:m] @ D[m:].T
     return X / np.linalg.norm(X)
 
 

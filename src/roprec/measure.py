@@ -121,32 +121,40 @@ def _substreams(seed: int, stream: int, count: int):
 
     One generator is yielded each time, its Philox re-keyed in place to
     the state a new one starts from (counter 0, empty buffer), so it is
-    valid until the next.  A new Philox spends more on an entropy draw,
-    for a seed sequence the key then overrides, than a short row spends
-    on its draws.
+    valid until the next; a row is then one draw from its own re-keyed
+    Philox.  A new Philox spends more on an entropy draw, for a seed
+    sequence the key then overrides, than a short row spends on its
+    draws.  The keys are built all at once and one state dict serves every
+    re-keying: the setter copies what it reads.
     """
-    bits = np.random.Philox(key=_philox_key(seed, stream, 0))
+    first = _philox_key(seed, stream, 0)
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = first[0]
+    keys[:, 1] = first[1] | np.arange(count, dtype=np.uint64)
+    bits = np.random.Philox(key=first)
     rng, state = np.random.Generator(bits), bits.state
-    for j in range(count):
-        state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
-                          "key": _philox_key(seed, stream, j)}
+    for key in keys:
+        state["state"]["key"] = key
         bits.state = state
         yield rng
 
 
 def sample_gaussian_rop(m: int, n: int, L: int, symmetric: bool = False,
                         seed: int = 0) -> RopEnsemble:
-    """Draw a standard-normal ROP ensemble deterministically from ``seed``."""
+    """Draw a standard-normal ROP ensemble deterministically from ``seed``.
+
+    Row j is beta_j then gamma_j, drawn by one call from substream j into
+    one (L, m + n) array, of which betas and gammas are column views.
+    """
     if m < 1 or n < 1 or L < 1:
         raise ValueError("m, n, L must be positive")
     if symmetric and m != n:
         raise ValueError("symmetric ensemble requires m == n")
-    betas = np.empty((L, m))
-    gammas = betas if symmetric else np.empty((L, n))
-    for j, g in enumerate(_substreams(seed, _STREAM_ENSEMBLE, L)):
-        betas[j] = g.standard_normal(m)
-        if not symmetric:
-            gammas[j] = g.standard_normal(n)
+    rows = np.empty((L, m if symmetric else m + n))
+    for row, g in zip(rows, _substreams(seed, _STREAM_ENSEMBLE, L)):
+        g.standard_normal(out=row)
+    betas = rows[:, :m]
+    gammas = betas if symmetric else rows[:, m:]
     return RopEnsemble(betas=betas, gammas=gammas, symmetric=symmetric)
 
 

@@ -12,7 +12,11 @@ module owns the algorithmic choices:
   singular.  Both least-squares solves, of the explicit operator and of
   a singular Gram, are LAPACK gelsy, a QR with column pivoting that
   reveals the rank with numpy's cutoff at a fraction of the cost of the
-  SVD-based gelsd (10 ms against 26 ms at m = n = 20, L = 480).  At
+  SVD-based gelsd (10 ms against 26 ms at m = n = 20, L = 480).  The
+  IRLS Gram is assembled in place in two L x L buffers, allocated once
+  per solve after its size check, in place of six new L x L temporaries
+  per iteration: one p = 0.5 solve at m = n = 20, r = 2, L = 240 (11
+  iterations) takes 9.8 ms, down from 14.6 ms (one BLAS thread).  At
   p < 1 the weight is the harmonic mean of the left and right weights
   (X X^T + eps I)^{p/2-1} and (X^T X + eps I)^{p/2-1} (Kuemmerle &
   Sigl 2018), both from one SVD of the iterate, and eps decays by 0.1
@@ -320,22 +324,31 @@ def _wls_solver(op: RopEnsemble):
     G_ij = <A_i, H(A_j)>.  For rank-one ensembles G is a Hadamard product
     of L x L Grams, (B W_L B^T) o (C C^T), with C the gammas, and with
     ``W_R`` the mean of that and (B B^T) o (C W_R C^T); its side is
-    size-checked first.
+    size-checked first.  G is assembled in place in two L x L buffers
+    allocated here, once per solver; every call overwrites them before it
+    accumulates, and no result refers to them.
     """
     measure.check_gram_size(op.L)
     gram_beta, gram_gamma = op.betas @ op.betas.T, op.gammas @ op.gammas.T
+    buffers = np.empty((2, op.L, op.L))
     # G = A H A* has the rank of A, at most _rank_bound(op): past it G is
     # singular and its Cholesky cannot succeed
     solve_gram = _solve_psd if op.L <= _rank_bound(op) else lambda G, b: _lstsq(G, b)[0]
 
     def solve(W_L, b, W_R=None):
+        G, H = buffers
         BW = op.betas @ W_L
-        G = (BW @ op.betas.T) * gram_gamma
+        np.matmul(BW, op.betas.T, out=G)
+        G *= gram_gamma
         if W_R is None:
             lam = solve_gram(G, b)
             return BW.T @ (lam[:, None] * op.gammas)
         CW = op.gammas @ W_R
-        lam = solve_gram(0.5 * (G + gram_beta * (CW @ op.gammas.T)), b)
+        np.matmul(CW, op.gammas.T, out=H)
+        H *= gram_beta
+        G += H
+        G *= 0.5
+        lam = solve_gram(G, b)
         return 0.5 * (BW.T @ (lam[:, None] * op.gammas) + (lam[:, None] * op.betas).T @ CW)
 
     return solve
@@ -386,11 +399,16 @@ def _svd_eigenpairs(X):
     A squared singular value s_i^2 is accurate to about u s_1 s_i (u the
     unit roundoff), where eigh of the Gram leaves u s_1^2 on every
     eigenvalue; the tail that (w + eps)^{p/2} amplifies at small eps needs
-    the former.
+    the former.  A square X needs no padding, and both sides share s^2.
     """
     U, s, Vt = np.linalg.svd(X)
     m, n = X.shape
-    return (np.pad(s**2, (0, m - s.size)), U), (np.pad(s**2, (0, n - s.size)), Vt.T)
+    w = s**2
+
+    def padded(k):
+        return w if k == w.size else np.pad(w, (0, k - w.size))
+
+    return (padded(m), U), (padded(n), Vt.T)
 
 
 def _inverse_weight(w, Q, eps, p):

@@ -31,17 +31,18 @@ def test_sampling_seed_changes_draws():
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("L", [1, 150])
 def test_sampling_matches_one_substream_per_row(L, seed, symmetric):
-    # the sampler re-keys one Philox per row; a new generator per row is the
-    # reference
-    m, n = 4, 4 if symmetric else 3
-    betas, gammas = np.empty((L, m)), np.empty((L, n))
-    for j in range(L):
-        g = measure._substream(seed, measure._STREAM_ENSEMBLE, j)
-        betas[j] = g.standard_normal(m)
-        gammas[j] = betas[j] if symmetric else g.standard_normal(n)
-    ens = measure.sample_gaussian_rop(m, n, L, symmetric=symmetric, seed=seed)
-    assert ens.betas.tobytes() == betas.tobytes()
-    assert ens.gammas.tobytes() == gammas.tobytes()
+    # the sampler re-keys one Philox per row and draws the row at once; a new
+    # generator per row, drawing beta_j then gamma_j, is the reference
+    for m, n in [(4, 4)] if symmetric else [(4, 3), (3, 5)]:
+        betas, gammas = np.empty((L, m)), np.empty((L, n))
+        for j in range(L):
+            g = measure._substream(seed, measure._STREAM_ENSEMBLE, j)
+            betas[j] = g.standard_normal(m)
+            gammas[j] = betas[j] if symmetric else g.standard_normal(n)
+        ens = measure.sample_gaussian_rop(m, n, L, symmetric=symmetric, seed=seed)
+        assert ens.betas.shape == (L, m) and ens.gammas.shape == (L, n)
+        assert ens.betas.tobytes() == betas.tobytes()
+        assert ens.gammas.tobytes() == gammas.tobytes()
 
 
 def test_sampling_seeds_past_2_63_are_distinct():

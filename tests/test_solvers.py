@@ -311,6 +311,43 @@ def test_svd_weights_match_explicit_eigendecomposition(m, n):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m, n", [(3, 5), (5, 3), (4, 4)])
+def test_svd_eigenpairs_match_padded_reference(m, n):
+    # the eigenvalues pad s^2 with zeros only where a side exceeds min(m, n)
+    X = np.random.default_rng(m * 10 + n).standard_normal((m, n))
+    U, s, Vt = np.linalg.svd(X)
+    expected = ((np.pad(s**2, (0, m - s.size)), U), (np.pad(s**2, (0, n - s.size)), Vt.T))
+    for got, ref in zip(solvers._svd_eigenpairs(X), expected):
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m, n, L, symmetric", [(5, 4, 14, False), (4, 4, 30, True)])
+def test_wls_solver_reuses_its_gram_buffers(m, n, L, symmetric):
+    # One solver's Gram buffers serve every call: calls alternating the
+    # one-sided and the harmonic-mean step, each with new weights, give the
+    # bits of a fresh solver, and no result shares memory with an earlier one
+    # or changes after it.  The symmetric map at m = 4, L = 30 is past its
+    # rank bound of 10, so its Gram is solved by gelsy.
+    ens = measure.sample_gaussian_rop(m, n, L, symmetric=symmetric, seed=L)
+    assert (L > solvers._rank_bound(ens)) == symmetric
+    g = np.random.default_rng(L)
+    solve = solvers._wls_solver(ens)
+    results, expected = [], []
+    for k in range(6):
+        left, right = solvers._svd_eigenpairs(g.standard_normal((m, n)))
+        eps = 10.0 ** -k
+        W_L = solvers._inverse_weight(*left, eps, 0.5)
+        W_R = solvers._inverse_weight(*right, eps, 0.5) if k % 2 else None
+        b = g.standard_normal(L)
+        X = solve(W_L, b, W_R)
+        expected.append(solvers._wls_solver(ens)(W_L, b, W_R).tobytes())
+        assert X.tobytes() == expected[-1], k
+        assert not any(np.shares_memory(X, earlier) for earlier in results), k
+        results.append(X)
+    assert [X.tobytes() for X in results] == expected
+
+
 @pytest.mark.parametrize("p", [0.5, 0.7])
 def test_equality_irls_runs_one_start(p):
     # below L = mn IRLS runs once, from the minimum-Frobenius point, so the
