@@ -16,7 +16,11 @@ module owns the algorithmic choices:
   IRLS Gram is assembled in place in two L x L buffers, allocated once
   per solve after its size check, in place of six new L x L temporaries
   per iteration: one p = 0.5 solve at m = n = 20, r = 2, L = 240 (11
-  iterations) takes 9.8 ms, down from 14.6 ms (one BLAS thread).  At
+  iterations) takes 9.8 ms, down from 14.6 ms (one BLAS thread).  The
+  Cholesky factors the lower triangle of G^T, the same entries as G's
+  upper triangle (G, from gemm, is not bitwise symmetric): OpenBLAS's
+  lower-triangle potrf on the Fortran-ordered G^T takes 180 us at
+  L = 240 where the upper one on G takes 280 us.  At
   p < 1 the weight is the harmonic mean of the left and right weights
   (X X^T + eps I)^{p/2-1} and (X^T X + eps I)^{p/2-1} (Kuemmerle &
   Sigl 2018), both from one SVD of the iterate, and eps decays by 0.1
@@ -380,10 +384,22 @@ def _lstsq(M, b):
 
 
 def _solve_psd(G, b):
+    """lambda with G lambda = b for a positive definite Gram G, by Cholesky,
+    or by ``_lstsq`` when the factor fails or leaves a residual above
+    1e-8 max(1, ||b||).
+
+    The factor is the lower triangle of G^T, the same entries as G's
+    upper triangle (G, from gemm, is not bitwise symmetric), and G^T of a
+    C-ordered G is Fortran-ordered: OpenBLAS's lower-triangle potrf takes
+    180 us at L = 240 where the upper one takes 280 us (one BLAS
+    thread).  The calls go through ``scipy.linalg``, which the
+    benchmark's tracer wraps, not ``scipy.linalg.lapack.dpotrf``, which
+    would save at most about 10 us per call.
+    """
     import scipy.linalg
 
     try:
-        c, low = scipy.linalg.cho_factor(G, check_finite=False)
+        c, low = scipy.linalg.cho_factor(G.T, lower=True, check_finite=False)
         lam = scipy.linalg.cho_solve((c, low), b, check_finite=False)
         if np.linalg.norm(G @ lam - b) <= 1e-8 * max(1.0, np.linalg.norm(b)):
             return lam

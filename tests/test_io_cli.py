@@ -455,6 +455,29 @@ def test_cli_subcommand_parser_help_matches_full_parser(cmd, capsys):
     assert helps[0] == helps[1]
 
 
+def test_cli_parsers_are_built_once_and_keep_no_parse(tmp_path, capsys):
+    # build_parser is cached per process, so a parse must leave nothing in
+    # the parser for the next one to see, a failed parse included
+    assert cli.build_parser("bound-check") is cli.build_parser("bound-check")
+    assert cli.build_parser() is cli.build_parser()
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("rub_trials = 7\n")
+    first = cli.parse_args(["bound-check", "--config", str(cfg), "--eta1", "0.3",
+                            "--out", "x.csv"])
+    assert (first.rub_trials, first.eta1, first.eta1_values) == (7, 0.3, (0.3,))
+    second = cli.parse_args(["bound-check", "--out", "y.csv"])
+    assert second is not first
+    for name in ("eta1", "eta1_values", "rub_trials", "config"):
+        assert not hasattr(second, name), name
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["bound-check", "--m", "abc", "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: argument --m: invalid int value: 'abc'\n"
+    third = cli.parse_args(["bound-check", "--m", "5", "--out", "z.csv"])
+    assert (third.m, third.out) == (5, "z.csv")
+    assert not hasattr(third, "eta1")
+
+
 @pytest.mark.parametrize("cmd, flag, value", [
     ("bound-check", "--noise-kind", "dantzig"), ("bound-check", "--eta2", "0.5"),
     *((cmd, flag, value) for cmd in ("lad-robustness", "phaselift-demo")

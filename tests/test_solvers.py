@@ -348,6 +348,37 @@ def test_wls_solver_reuses_its_gram_buffers(m, n, L, symmetric):
     assert [X.tobytes() for X in results] == expected
 
 
+def test_solve_psd_reads_only_the_grams_upper_triangle(monkeypatch):
+    # An IRLS Gram from gemm is not bitwise symmetric; the Cholesky must read
+    # the upper triangle alone, so G and its upper triangle mirrored give the
+    # same bits.  _lstsq raises, so both solves are the Cholesky's.
+    grams, solve_psd = [], solvers._solve_psd
+
+    def spy(G, b):
+        grams.append((G.copy(), b))
+        return solve_psd(G, b)
+
+    monkeypatch.setattr(solvers, "_solve_psd", spy)
+    m = n = 20
+    L = 240
+    ens = measure.sample_gaussian_rop(m, n, L, seed=3)
+    assert L <= solvers._rank_bound(ens)
+    g = np.random.default_rng(3)
+    left, right = solvers._svd_eigenpairs(g.standard_normal((m, n)))
+    W_L = solvers._inverse_weight(*left, 0.01, 0.5)
+    W_R = solvers._inverse_weight(*right, 0.01, 0.5)
+    solvers._wls_solver(ens)(W_L, g.standard_normal(L), W_R)
+    [(G, b)] = grams
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("the Cholesky branch did not return")
+
+    monkeypatch.setattr(solvers, "_lstsq", no_lstsq)
+    assert not np.array_equal(G, G.T)
+    S = np.triu(G) + np.triu(G, 1).T
+    assert solve_psd(G, b).tobytes() == solve_psd(S, b).tobytes()
+
+
 @pytest.mark.parametrize("p", [0.5, 0.7])
 def test_equality_irls_runs_one_start(p):
     # below L = mn IRLS runs once, from the minimum-Frobenius point, so the
