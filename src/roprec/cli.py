@@ -57,6 +57,10 @@ def _cmd_recover(args) -> int:
                       eta1=args.eta1, eta2=args.eta2)
     cfg = SolverConfig(p=args.p, q=args.q, seed=args.seed,
                        max_iterations=args.max_iterations)
+    X0 = fileio.read_matrix(args.truth) if args.truth else None
+    if X0 is not None and X0.shape != (ens.m, ens.n):
+        raise ValueError(f"{args.truth}: the truth is {X0.shape[0]} x {X0.shape[1]}, "
+                         f"but the ensemble maps {ens.m} x {ens.n} matrices")
     report = harness.recover(args.method, ens, b, noise, cfg)
     payload = {
         "method": report.method,
@@ -66,8 +70,7 @@ def _cmd_recover(args) -> int:
         "globally_optimal": report.globally_optimal,
         "constraint_slack": report.constraint_slack,
     }
-    if args.truth:
-        X0 = fileio.read_matrix(args.truth)
+    if X0 is not None:
         payload["relative_s2_error"] = float(
             np.linalg.norm(report.estimate - X0) / max(np.linalg.norm(X0), 1e-300))
     fileio.write_report(args.out, payload)

@@ -16,6 +16,7 @@ the one loop over them.  Kinds whose rows carry neither r nor L run one
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections.abc import Callable
 
 import numpy as np
@@ -81,6 +82,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1 or not self.ranks or not (self.ratios or self.Ls):
             raise ValueError("grids must be nonempty and trials >= 1")
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be positive")
+        bad = [r for r in self.ranks
+               if not (isinstance(r, numbers.Integral) and 1 <= r <= min(self.m, self.n))]
+        if bad:
+            raise ValueError(f"rank {bad[0]} is not an integer in 1..min(m, n) = "
+                             f"{min(self.m, self.n)}")
+        if not 0 <= self.corrupt_fraction <= 1:
+            raise ValueError(f"--corrupt-fraction must lie in [0, 1], got {self.corrupt_fraction}")
 
 
 def _Ls(cfg: ExperimentConfig, r: int) -> list[int]:

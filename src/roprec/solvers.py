@@ -5,14 +5,19 @@ module owns the algorithmic choices:
 
 * equality-constrained Schatten-p minimization: when the map is
   injective (L >= mn and rank mn) the feasible set is one point, the
-  minimizer for every p, found by one least-squares solve; otherwise
-  matrix IRLS, the weighted least-squares subproblem solved through the
-  measurement Gram matrix, by Cholesky unless L exceeds the map's rank
-  bound (mn, or m(m+1)/2 for a symmetric ensemble), where the Gram is
-  singular.  Both least-squares solves, of the explicit operator and of
-  a singular Gram, are LAPACK gelsy, a QR with column pivoting that
-  reveals the rank with numpy's cutoff at a fraction of the cost of the
-  SVD-based gelsd (10 ms against 26 ms at m = n = 20, L = 480).  The
+  minimizer for every p, found by one least-squares solve of the explicit
+  L x mn operator E: a Cholesky of the normal matrix E^T E and one step
+  of refinement when its condition estimate is at most 1e9 (the check
+  takes 5.0 ms at m = n = 20, L = 480, where gelsy took 13.8 ms), else,
+  and for every symmetric ensemble, LAPACK gelsy; otherwise matrix IRLS,
+  the weighted
+  least-squares subproblem solved through the measurement Gram matrix,
+  by Cholesky unless L exceeds the map's rank bound (mn, or m(m+1)/2
+  for a symmetric ensemble), where the Gram is singular.  Both gelsy
+  solves, of an ill-conditioned explicit operator and of a singular
+  Gram, are a QR with column pivoting that reveals the rank with numpy's
+  cutoff at a fraction of the cost of the SVD-based gelsd (10 ms against
+  26 ms at m = n = 20, L = 480).  The
   IRLS Gram is assembled in place in two L x L buffers, allocated once
   per solve after its size check, in place of six new L x L temporaries
   per iteration: one p = 0.5 solve at m = n = 20, r = 2, L = 240 (11
@@ -112,6 +117,10 @@ _IRLS_HM_DECAY = 0.1
 _ADMM_PROX_SCALE = 0.1
 _FEASIBILITY_TOL = 1e-6
 _SPHERE_TOL = 1e-8
+
+# The least reciprocal condition estimate of E^T E at which the injective
+# solve uses the normal equations; see _unique_feasible_point.
+_NORMAL_RCOND = 1e-9
 
 
 @dataclasses.dataclass
@@ -369,9 +378,12 @@ def _lstsq(M, b):
 
     LAPACK gelsy, a QR with column pivoting (Quintana-Orti, Sun & Bischof
     1998), reveals the rank at a fraction of the cost of the SVD that
-    gelsd (numpy's lstsq) computes.  The cutoff eps * max(M.shape) is
-    numpy's rcond=None; scipy's default would be bare eps.  Non-finite
-    input raises ValueError (scipy's check_finite, one scan of M).
+    gelsd (numpy's lstsq) computes: 10 ms against 26 ms on a 480 x 400
+    operator (one BLAS thread).  The cutoff eps * max(M.shape) is numpy's
+    rcond=None; scipy's default would be bare eps.  Non-finite input
+    raises ValueError (scipy's check_finite, one scan of M).  It solves
+    the singular IRLS Grams and those injective-map checks that the
+    normal equations leave to it (see ``_unique_feasible_point``).
     """
     # imported here, not at module level, so that processes that never
     # solve (sample, measure) start without scipy; the BLAS pin loads it
@@ -647,22 +659,86 @@ def _unique_feasible_point(op, b):
     """The one solution of A(X) = b when the map is injective, else None.
 
     With L >= mn and rank mn the feasible set is a single point, the
-    minimizer for every p, so one least-squares solve stands in for IRLS.
-    The solve is a pivoted QR of the explicit L x mn operator (``_lstsq``,
-    LAPACK gelsy), whose rank decision uses numpy's cutoff; at m = n = 20,
-    L = 480 it takes 10 ms where the SVD-based gelsd took 26 ms.  If b is
-    not in the range of A the point is the least-squares fit, and the
-    equality slack reports the miss.  A rank-deficient map (a symmetric
-    ensemble has rank at most m(m+1)/2) gives None.  A non-finite operator
-    or b is a ValueError, as it was under gelsd; gelsy would return a
-    garbage rank.  Past the explicit-operator cap the ResourceError stands,
-    as L >= mn > 4096 puts IRLS's Gram past its cap too.
+    minimizer for every p, so one least-squares solve of the explicit
+    L x mn operator E stands in for IRLS.  If b is not in the range of A
+    the point is the least-squares fit, and the equality slack reports the
+    miss.  A non-finite E or b is a ValueError, raised before any
+    factorization (potrf can succeed on NaN input).  Past the
+    explicit-operator cap the ResourceError stands, as L >= mn > 4096 puts
+    IRLS's Gram past its cap too.
+
+    The solve runs through the normal matrix N = E^T E when N is well
+    conditioned (``_solve_normal``), and otherwise by gelsy (``_lstsq``),
+    whose rank decision uses numpy's cutoff: rank < mn, and None, when
+    cond(E) > 1/(eps max(L, mn)), 9e12 at L = 480.  A symmetric ensemble
+    goes to gelsy at once: it sees only the symmetric part of X, so its
+    rank is at most m(m+1)/2 < mn and N is singular.
+
+    The normal path answers only when dpocon's estimate of 1/cond_1(N),
+    with ||N||_1 overstated by at most a factor of 2, is at least
+    ``_NORMAL_RCOND`` = 1e-9, so cond(E)^2 = cond_2(N) <= cond_1(N) is
+    about 1e9 or less, cond(E) <= 3.2e4.  Solving N x = E^T b by Cholesky
+    leaves a relative error of about u cond(E)^2, u = 1.1e-16 the unit
+    roundoff, and one refinement step x += N^{-1} E^T (b - E x), the
+    correction of Bjorck's (1987) corrected seminormal equations,
+    multiplies it by about u cond(E)^2 again.  What remains,
+    (u cond(E)^2)^2 <= 1.2e-14, is below the error u cond(E) <= 3.5e-12
+    that a backward stable QR solve already allows; the bound holds while
+    cond(E) <= u^{-1/3} = 2e5, which leaves dpocon's estimate a factor of
+    40 on cond_1(N).  Such a map is far inside numpy's rank cutoff (8
+    orders of magnitude at L = 480), where gelsy's rank is mn too, so the
+    rank decision is gelsy's everywhere.  At m = n = 20, L = 480 (cond(E)
+    about 27) the whole check, explicit operator included, takes 5.0 ms
+    where it took 13.8 ms by gelsy alone; at L = mn = 400, 4.5-4.6 ms
+    against 10.1 ms on seeds 0-7 but seed 6, whose map (cond(E) = 1.6e4)
+    goes on to gelsy and takes 14.0 ms (medians of five interleaved
+    rounds, one BLAS thread).  The cost of syrk, dlange and dpocon,
+    called outside ``scipy.linalg``'s wrapped functions, is part of the
+    benchmark tracer's ``solvers.self_s``.
     """
     mn = op.m * op.n
     if op.L < mn:
         return None
-    x, rank = _lstsq(measure.explicit_operator(op), b)
-    return x.reshape(op.m, op.n) if rank == mn else None
+    M = measure.explicit_operator(op)
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ValueError("the map or the measurements are not finite")
+    x = None if op.symmetric else _solve_normal(M, b)
+    if x is None:
+        x, rank = _lstsq(M, b)
+        if rank < mn:
+            return None
+    return x.reshape(op.m, op.n)
+
+
+def _solve_normal(M, b):
+    """The least-squares solution of M x = b by a Cholesky of N = M^T M and
+    one refinement step, or None when the factor fails or N's reciprocal
+    condition estimate is below ``_NORMAL_RCOND``.
+
+    BLAS syrk writes N's lower triangle into a zeroed Fortran-ordered
+    buffer, and potrf factors it there.  ||N||_1 is taken as the largest
+    column sum plus the largest row sum of that triangle (two dlange
+    calls, no |N| temporary), at most twice the true norm, which can only
+    lower the estimate.  syrk runs on scipy's BLAS, whose work buffer
+    potrf uses too: numpy's ``M.T @ M`` (syrk on numpy's BLAS, the full
+    N) raised the benchmark's peak RSS twice as much.
+    """
+    import scipy.linalg
+    from scipy.linalg import blas, lapack
+
+    N = blas.dsyrk(1.0, M.T, c=np.zeros((M.shape[1],) * 2, order="F"), lower=1,
+                   overwrite_c=1)
+    anorm = lapack.dlange("1", N) + lapack.dlange("I", N)
+    try:
+        c, low = scipy.linalg.cho_factor(N, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    rcond, info = lapack.dpocon(c, anorm, uplo="L")
+    if info != 0 or not rcond >= _NORMAL_RCOND:
+        return None
+    x = scipy.linalg.cho_solve((c, low), M.T @ b, check_finite=False)
+    x += scipy.linalg.cho_solve((c, low), M.T @ (b - M @ x), check_finite=False)
+    return x
 
 
 @_single_blas_thread()

@@ -567,6 +567,50 @@ def test_cli_grid_an_experiment_cannot_run_exits_2(tmp_path, capsys, argv, flag)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phase-transition", "--r", "9", "--L", "20"],
+     "rank 9 is not an integer in 1..min(m, n) = 4"),
+    (["phase-transition", "--ranks", "1,0", "--L", "20"], "rank 0 is not an integer in"),
+    (["phase-transition", "--ranks", "1.5", "--L", "20"], "rank 1.5 is not an integer in"),
+    (["phase-transition", "--r", "1", "--L", "20", "--n", "0"], "m and n must be positive"),
+    (["lad-robustness", "--r", "1", "--L", "20", "--corrupt-fraction", "-0.5"],
+     "--corrupt-fraction must lie in [0, 1], got -0.5"),
+    (["lad-robustness", "--r", "1", "--L", "20", "--corrupt-fraction", "2"],
+     "--corrupt-fraction must lie in [0, 1], got 2"),
+], ids=["rank-9", "rank-0", "rank-1.5", "n-0", "fraction-negative", "fraction-2"])
+def test_cli_experiment_value_out_of_range_exits_2(tmp_path, capsys, argv, message):
+    # a 4 x 4 truth has an integer rank of at most 4; a fraction of the
+    # measurements lies in [0, 1]: both fail before any trial runs, on one line
+    out = tmp_path / "x.csv"
+    assert cli.main(argv[:1] + ["--m", "4", "--n", "4", "--trials", "1", *argv[1:],
+                                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_cli_recover_truth_of_wrong_shape_exits_2_before_solving(tmp_path, capsys,
+                                                                 monkeypatch):
+    ens_path, b_path, truth = tmp_path / "ens.txt", tmp_path / "b.txt", tmp_path / "x.txt"
+    assert cli.main(["sample", "--m", "4", "--n", "4", "--L", "20",
+                     "--out", str(ens_path)]) == 0
+    fileio.write_measurements(b_path, np.ones(20))
+    fileio.write_matrix(truth, np.eye(5))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(harness, "recover", no_solve)
+    out = tmp_path / "r.json"
+    assert cli.main(["recover", "--ensemble", str(ens_path), "--measurements", str(b_path),
+                     "--truth", str(truth), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {truth}: the truth is 5 x 5, "
+                   "but the ensemble maps 4 x 4 matrices\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def noisy_recover_inputs(tmp_path_factory):
     # intersection noise lies in the lq ball and the Dantzig ball at once

@@ -754,10 +754,62 @@ def test_least_squares_refuses_non_finite_input():
     ens.betas[4, 1] = np.nan
     with pytest.raises(ValueError):
         solvers._unique_feasible_point(ens, b)
+    ens, _, b = _planted(3, 3, 1, 12, seed=5)
+    b[7] = np.inf
+    with pytest.raises(ValueError):
+        solvers._unique_feasible_point(ens, b)
     G = np.eye(4)
     G[1, 2] = np.inf
     with pytest.raises(ValueError):
         solvers._solve_psd(G, np.ones(4))
+
+
+def test_well_conditioned_injective_map_solves_by_normal_equations(monkeypatch):
+    # criterion 03's cell: cond(E) is about 27, so the Cholesky of E^T E
+    # answers and gelsy is never called
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("gelsy called on a well-conditioned map")
+
+    monkeypatch.setattr(solvers, "_lstsq", no_lstsq)
+    ens, X0, b = _planted(20, 20, 2, 480, seed=3)
+    report = solvers.schatten_p_minimize(ens, b, NoiseSpec(kind="none"),
+                                         SolverConfig(p=1.0, max_iterations=200))
+    assert report.iterations_used == 1 and report.globally_optimal and report.converged
+    x_ls = np.linalg.lstsq(measure.explicit_operator(ens), b, rcond=None)[0]
+    assert np.linalg.norm(report.estimate.ravel() - x_ls) <= 1e-12 * np.linalg.norm(x_ls)
+
+
+def test_ill_conditioned_injective_map_solves_by_gelsy(monkeypatch):
+    # gammas one shared row plus 1e-6 noise: rank 9 by numpy's cutoff, but
+    # cond(E) = 1.6e6, past what one refinement step of the normal
+    # equations can correct, so gelsy answers, bit for bit
+    m, L = 3, 400
+    ens = measure.sample_gaussian_rop(m, m, L, seed=0)
+    g = np.random.default_rng(0)
+    gammas = np.tile(ens.gammas[0], (L, 1)) + 1e-6 * g.standard_normal((L, m))
+    ens = measure.RopEnsemble(betas=ens.betas, gammas=gammas)
+    M = measure.explicit_operator(ens)
+    assert np.linalg.matrix_rank(M) == m * m and 1e6 < np.linalg.cond(M) < 1e7
+    b = M @ g.standard_normal(m * m)
+    calls, lstsq = [], solvers._lstsq
+
+    def spy(*args):
+        calls.append(lstsq(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solvers, "_lstsq", spy)
+    x = solvers._unique_feasible_point(ens, b)
+    assert len(calls) == 1 and calls[0][1] == m * m
+    assert np.array_equal(x.ravel(), lstsq(M, b)[0])
+
+
+def test_unique_feasible_point_at_L_equal_mn():
+    # L = mn = 400, the least-conditioned injective maps of criterion 03's size
+    for seed in range(8):
+        ens, _, b = _planted(20, 20, 2, 400, seed=seed)
+        x = solvers._unique_feasible_point(ens, b)
+        x_ls = np.linalg.lstsq(measure.explicit_operator(ens), b, rcond=None)[0]
+        assert np.linalg.norm(x.ravel() - x_ls) <= 1e-10 * np.linalg.norm(x_ls)
 
 
 def test_unique_feasible_point_rank_decision_property():
